@@ -5,11 +5,11 @@ from .correlator import (AntibunchingFit, CorrelationHistogram,
                          brute_force_coincidences, correlate, fit_antibunching,
                          normalize_g2, pulsed_peak_ratio)
 from .errors import (ConfigError, FitConvergenceError, FitError,
-                     InsufficientDataError, PhysicsError)
+                     InsufficientDataError, PhysicsError, TagFileError)
 from .interference import (HomResult, Wavepacket, beat_coincidence_density,
                            hom_coincidence_prob, hom_sweep, simulate_hom,
                            wavepacket_overlap)
-from .kmc import PhotonRecord, PhotonStream, TimeTagSet, apply_detection, simulate_stream
+from .kmc import PhotonStream, TimeTagSet, apply_detection, simulate_stream
 from .model import (BRANCH_VIBRONIC, BRANCH_ZPL, DEFAULT_K_VIB, DetectionSpec,
                     ElectrodeSpec, LaserSpec, MoleculeSpec, SceneSpec,
                     analytic_g2, diffraction_fwhm, lorentzian, mixture_g2_zero,

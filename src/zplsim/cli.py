@@ -3,7 +3,12 @@
 Every subcommand writes a ``manifest.json`` next to its outputs; re-running
 with the same manifest inputs reproduces the outputs byte for byte.
 Exit codes: 0 success, 1 configuration error, 2 physics precondition
-violation, 3 I/O failure.
+violation, 3 I/O failure, 4 malformed tag file (truncated PTAG records,
+channel ids outside the header's count, decreasing timestamps, unparsable
+CSV) or tags the PTAG layout cannot hold.
+
+Only the commands that fit or evaluate Voigt lines (``correlate``, ``stark``,
+``scan``, ``spectrum``) import scipy; the others run on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import numpy as np
 from . import __version__
 from .config import load_config, parse_quantity
 from .correlator import correlate, fit_antibunching, normalize_g2, pulsed_peak_ratio
-from .errors import ConfigError, FitError, PhysicsError
+from .errors import ConfigError, FitError, PhysicsError, TagFileError
 from .interference import hom_sweep, simulate_hom
 from .kmc import apply_detection, simulate_stream
-from .model import (pump_rate, rate_budget, split_two_source, steady_state)
+from .model import (DEFAULT_K_VIB, pump_rate, rate_budget, split_two_source,
+                    steady_state)
 from .spectroscopy import (confocal_scan, emission_spectrum, excitation_spectrum,
                            fit_gaussian, pgm_text, scan_cross_section, stark_scan)
 from .tagio import (atomic_write_text, read_tags, write_ptag, write_tags_csv,
@@ -243,7 +249,7 @@ def _cmd_budget(args) -> int:
         raise PhysicsError("budget needs at least one molecule")
     mol = cfg.scene.molecules[0]
     pump = pump_rate(mol, cfg.laser, cfg.scene.electrode)
-    populations = steady_state(pump, 1.0e12, 1.0 / mol.lifetime_t1)
+    populations = steady_state(pump, DEFAULT_K_VIB, 1.0 / mol.lifetime_t1)
     detected = rate_budget(mol, cfg.detection, populations[2])
     _write_json(os.path.join(outdir, "budget.json"), {
         "pump_rate_hz": pump, "p_excited": populations[2],
@@ -336,6 +342,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"zplsim: configuration error: {exc}", file=sys.stderr)
         return 1
+    except TagFileError as exc:
+        print(f"zplsim: malformed tag file: {exc}", file=sys.stderr)
+        return 4
     except (PhysicsError, FitError, ValueError) as exc:
         print(f"zplsim: {exc}", file=sys.stderr)
         return 2

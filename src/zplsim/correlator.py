@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitConvergenceError, InsufficientDataError
 
@@ -175,6 +174,9 @@ def fit_antibunching(h: CorrelationHistogram) -> AntibunchingFit:
     def model(tau, g0, tau_d, p):
         return p - (p - g0) * np.exp(-np.abs(tau) / tau_d)
 
+    # scipy is imported here, not at module top, so that commands which never
+    # fit do not pay its import time
+    from scipy.optimize import curve_fit
     try:
         popt, _ = curve_fit(model, x, y, p0=(g0_0, tau0, plateau0),
                             bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),

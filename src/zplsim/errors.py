@@ -5,6 +5,10 @@ class ConfigError(Exception):
     """A configuration file could not be parsed; the message names the key."""
 
 
+class TagFileError(ValueError):
+    """A time-tag file is malformed or cannot hold the tags; the message names the file."""
+
+
 class PhysicsError(ValueError):
     """A physical precondition (positive lifetime, voltage limit, ...) was violated."""
 

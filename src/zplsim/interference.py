@@ -88,23 +88,37 @@ class HomResult:
     voltage_b: float
 
 
-def _per_pulse_draws(rng, pump, width, branching, k_vib, n_pulses):
-    """Per pulse: did the source emit a ZPL photon, and when did the emitting
-    state become populated (excitation plus vibrational relaxation)."""
+def _per_pulse_draws(rng, pump, width, branching, n_pulses):
+    """One uniform per pulse: did the source emit a ZPL photon in it.
+
+    The source is excited in a pulse with probability ``p_exc = 1 -
+    exp(-pump*width)`` and then emits into the ZPL with probability
+    ``branching``, independently, so it emits iff ``u < p_exc*branching``
+    for one uniform ``u``.  Given that it emitted, ``u/branching`` is uniform
+    on ``[0, p_exc)``, so ``-log1p(-u/branching)/pump`` is an exponential
+    excitation time truncated to the pulse window: the same uniform also
+    fixes *when* the source was excited.  Returns the emitted mask and the
+    uniforms; ``_start_times`` turns the uniforms of the pulses that are
+    scored into times, so no time is computed for a pulse that is not.
+    """
     if pump <= 0:
         return np.zeros(n_pulses, dtype=bool), np.zeros(n_pulses)
-    p_exc = 1.0 - math.exp(-pump * width)
-    excited = rng.random(n_pulses) < p_exc
-    # excitation time: exponential truncated to the pulse window
+    p_exc = -math.expm1(-pump * width)
     u = rng.random(n_pulses)
-    t_exc = -np.log1p(-u * p_exc) / pump
-    t_start = t_exc + rng.exponential(1.0 / k_vib, n_pulses)
-    emitted = excited & (rng.random(n_pulses) < branching)
-    return emitted, t_start
+    return u < p_exc * branching, u
+
+
+def _start_times(rng, u, pump, branching, k_vib):
+    """Emitting-state population times for emitted pulses with uniforms ``u``:
+    the truncated-exponential excitation time plus an exponential
+    vibrational relaxation delay of mean ``1/k_vib``."""
+    t_exc = -np.log1p(-u / branching) / pump
+    return t_exc + rng.exponential(1.0 / k_vib, len(u))
 
 
 def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
-                 n_pulses: int, voltage_a: float, voltage_b: float, seed: int,
+                 n_pulses: int, voltage_a: float, voltage_b: float,
+                 seed: int | np.random.SeedSequence,
                  k_vib: float = DEFAULT_K_VIB) -> HomResult:
     """Monte Carlo HOM experiment between one molecule in each microscope.
 
@@ -131,12 +145,13 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     pump_a = pump_rate(mol_a, laser, scene_a.electrode)
     pump_b = pump_rate(mol_b, laser, scene_b.electrode)
 
-    root = np.random.SeedSequence(seed)
-    rng_a, rng_b, rng_bs = (np.random.default_rng(s) for s in root.spawn(3))
-    em_a, t_a = _per_pulse_draws(rng_a, pump_a, laser.pulse_width,
-                                 mol_a.zpl_branching, k_vib, n_pulses)
-    em_b, t_b = _per_pulse_draws(rng_b, pump_b, laser.pulse_width,
-                                 mol_b.zpl_branching, k_vib, n_pulses)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng_a, rng_b, rng_bs = (np.random.default_rng(s) for s in seed.spawn(3))
+    em_a, u_a = _per_pulse_draws(rng_a, pump_a, laser.pulse_width,
+                                 mol_a.zpl_branching, n_pulses)
+    em_b, u_b = _per_pulse_draws(rng_b, pump_b, laser.pulse_width,
+                                 mol_b.zpl_branching, n_pulses)
 
     both = em_a & em_b
     singles = int(np.count_nonzero(em_a ^ em_b))
@@ -145,11 +160,13 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
         return HomResult(n_pulses, 0, singles, 0, math.nan, math.nan,
                          voltage_a, voltage_b)
 
+    t_a = _start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, k_vib)
+    t_b = _start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, k_vib)
     delta = TWO_PI * (carrier_b - carrier_a)
     g_mean = 0.5 * (gamma_a + gamma_b)
     overlap = (gamma_a * gamma_b
-               * np.exp(gamma_a * t_a[both] + gamma_b * t_b[both]
-                        - 2.0 * g_mean * np.maximum(t_a[both], t_b[both]))
+               * np.exp(gamma_a * t_a + gamma_b * t_b
+                        - 2.0 * g_mean * np.maximum(t_a, t_b))
                / (g_mean * g_mean + delta * delta))
     mismatch = mol_a.polarization_angle - mol_b.polarization_angle
     if mismatch:
@@ -166,10 +183,13 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
 def hom_sweep(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
               n_pulses: int, voltages, seed: int,
               k_vib: float = DEFAULT_K_VIB) -> list[HomResult]:
-    """Voltage sweep applied to microscope B; one independent run per point."""
-    results = []
-    for i, v in enumerate(voltages):
-        results.append(simulate_hom(scene_a, scene_b, laser, n_pulses,
-                                    scene_a.electrode.voltage, float(v),
-                                    seed + i, k_vib))
-    return results
+    """Voltage sweep applied to microscope B; one independent run per point.
+
+    Point ``i`` draws from child ``i`` of ``SeedSequence(seed)``, so no point
+    of one sweep repeats a point of a sweep with another seed.
+    """
+    voltages = list(voltages)
+    points = np.random.SeedSequence(seed).spawn(len(voltages))
+    return [simulate_hom(scene_a, scene_b, laser, n_pulses,
+                         scene_a.electrode.voltage, float(v), point, k_vib)
+            for v, point in zip(voltages, points)]

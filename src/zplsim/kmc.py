@@ -23,23 +23,9 @@ from .model import (BRANCH_VIBRONIC, BRANCH_ZPL, DEFAULT_K_VIB, DetectionSpec,
 BACKGROUND_SOURCE = -1
 
 
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One ground-truth emitted photon."""
-
-    emit_time: float
-    frequency: float
-    source_id: int
-    branch: int
-
-
 @dataclass
 class PhotonStream:
-    """Time-ordered photon records held as parallel arrays.
-
-    Behaves as a sequence of PhotonRecord for small-scale inspection while
-    keeping bulk operations vectorized.
-    """
+    """Time-ordered ground-truth photons held as parallel arrays."""
 
     times: np.ndarray
     frequencies: np.ndarray
@@ -50,14 +36,6 @@ class PhotonStream:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, i: int) -> PhotonRecord:
-        return PhotonRecord(float(self.times[i]), float(self.frequencies[i]),
-                            int(self.source_ids[i]), int(self.branches[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @staticmethod
     def empty(duration: float, scene_digest: str = "") -> "PhotonStream":

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import voigt_profile
 
 from .errors import FitConvergenceError, InsufficientDataError, PhysicsError
 from .model import (DetectionSpec, MoleculeSpec, SceneSpec, natural_linewidth,
@@ -68,6 +66,7 @@ def _peak_normalized_line(detuning: np.ndarray, lorentz_fwhm: float,
     gamma = 0.5 * lorentz_fwhm
     if gauss_fwhm <= 0:
         return gamma * gamma / (gamma * gamma + np.square(detuning))
+    from scipy.special import voigt_profile  # imported on use; see _fit_peak
     sigma = gauss_fwhm * _GAUSS_FWHM_TO_SIGMA
     profile = voigt_profile(detuning, sigma, gamma)
     return profile / voigt_profile(0.0, sigma, gamma)
@@ -262,6 +261,9 @@ def _fit_peak(x, y, shape: str) -> PeakFit:
             s = w * _GAUSS_FWHM_TO_SIGMA
             return o + a * np.exp(-0.5 * ((x - c) / s) ** 2)
 
+    # scipy is imported here, not at module top, so that commands which never
+    # fit do not pay its import time
+    from scipy.optimize import curve_fit
     try:
         popt, _ = curve_fit(model, x, y, p0=(center0, fwhm0, amp0, offset0),
                             maxfev=20_000)

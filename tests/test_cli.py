@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zplsim
 from zplsim.cli import main
 
 
@@ -157,6 +162,59 @@ class TestSpectrumStarkScanBudget:
         budget = json.loads((out / "budget.json").read_text())
         assert budget["p_excited"] == pytest.approx(0.1383, abs=2e-4)
         assert budget["detected_zpl_rate_hz"] > 1e5
+
+
+class TestMalformedTagFile:
+    def test_truncated_ptag_exits_4(self, tmp_path, fig4a, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["simulate", "--config", fig4a, "--duration", "1 ms",
+                    "--out", run_dir]) == 0
+        tags = run_dir / "tags.ptag"
+        tags.write_bytes(tags.read_bytes()[:-1])
+        assert run(["correlate", "--tags", tags, "--out", tmp_path / "g2"]) == 4
+        err = capsys.readouterr().err
+        assert "malformed tag file" in err and str(tags) in err
+
+
+# Each command below must finish without importing scipy; the script reports
+# the first command after which scipy is loaded.
+_NO_SCIPY_SCRIPT = """
+import json
+import sys
+from zplsim.cli import main
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+    if scipy_loaded():
+        sys.exit(f"{argv[0]} loaded scipy")
+"""
+
+
+def test_commands_without_fits_do_not_import_scipy(tmp_path, config_dir):
+    fig4a, fig4b, fig5a = (str(config_dir / f"{n}.ini") for n in ("fig4a", "fig4b", "fig5a"))
+    sim = str(tmp_path / "sim")
+    commands = [
+        ["--version"],
+        ["simulate", "--config", fig4b, "--duration", "1 ms", "--out", sim],
+        ["pulsed-g2", "--tags", f"{sim}/tags.ptag", "--period", "263.16 ns",
+         "--out", str(tmp_path / "pulsed")],
+        ["hom", "--config", fig5a, "--pulses", "1000", "--out", str(tmp_path / "hom")],
+        ["budget", "--config", fig4a, "--out", str(tmp_path / "budget")],
+    ]
+    src = str(Path(zplsim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

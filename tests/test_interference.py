@@ -193,3 +193,62 @@ class TestSimulateHom:
         ps = [r.p_estimate for r in results]
         assert ps[0] > ps[1] > ps[2]
         assert [r.voltage_b for r in results] == [0.0, 21.0, 42.0]
+
+
+class TestPerPulseSampler:
+    """The HOM draw: one uniform per pulse decides emission, and for emitted
+    pulses the same uniform gives the truncated-exponential excitation time."""
+
+    PUMP, WIDTH, BRANCHING = 3e9, 700e-12, 0.35
+
+    def draw(self, n=400_000, seed=11):
+        from zplsim.interference import _per_pulse_draws
+        rng = np.random.default_rng(seed)
+        return rng, _per_pulse_draws(rng, self.PUMP, self.WIDTH, self.BRANCHING, n)
+
+    def test_emitted_fraction(self):
+        n = 400_000
+        _, (emitted, _) = self.draw(n)
+        p = -math.expm1(-self.PUMP * self.WIDTH) * self.BRANCHING
+        sigma = math.sqrt(n * p * (1 - p))
+        assert abs(np.count_nonzero(emitted) - n * p) < 5 * sigma
+
+    def test_excitation_times_are_truncated_exponential(self):
+        from scipy import stats
+
+        from zplsim.interference import _start_times
+        rng, (emitted, u) = self.draw()
+        # an infinite k_vib makes the vibrational delay zero
+        t_exc = _start_times(rng, u[emitted], self.PUMP, self.BRANCHING, math.inf)
+        p_exc = -math.expm1(-self.PUMP * self.WIDTH)
+        assert t_exc.min() >= 0 and t_exc.max() <= self.WIDTH
+
+        def cdf(t):
+            return -np.expm1(-self.PUMP * np.clip(t, 0, self.WIDTH)) / p_exc
+
+        assert stats.kstest(t_exc, cdf).pvalue > 1e-3
+
+    def test_vibrational_delay_mean(self):
+        from zplsim.interference import _start_times
+        rng, (emitted, u) = self.draw()
+        k_vib = 1e11
+        u = u[emitted]
+        t_exc = -np.log1p(-u / self.BRANCHING) / self.PUMP
+        delay = _start_times(rng, u, self.PUMP, self.BRANCHING, k_vib) - t_exc
+        # exponential delay: mean 1/k_vib, standard error 1/(k_vib sqrt(n))
+        assert abs(delay.mean() - 1 / k_vib) < 5 / (k_vib * math.sqrt(len(u)))
+
+    def test_no_pump_never_emits(self):
+        from zplsim.interference import _per_pulse_draws
+        emitted, _ = _per_pulse_draws(np.random.default_rng(0), 0.0, self.WIDTH,
+                                      self.BRANCHING, 100)
+        assert not emitted.any()
+
+
+def test_sweep_points_do_not_repeat_other_seeds():
+    # point i of a sweep once used seed + i, so seed 1 point 1 equalled seed 2 point 0
+    scene_a, scene_b, laser = hom_setup()
+    later = hom_sweep(scene_a, scene_b, laser, 20_000, [0.0, 0.0], seed=1)[1]
+    first = hom_sweep(scene_a, scene_b, laser, 20_000, [0.0], seed=2)[0]
+    assert (later.coincidences, later.both_emitted, later.singles) != \
+        (first.coincidences, first.both_emitted, first.singles)

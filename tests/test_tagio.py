@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zplsim.errors import TagFileError
 from zplsim.kmc import PhotonStream, TimeTagSet
 from zplsim.tagio import (ptag_bytes, read_ptag, read_tags, read_tags_csv,
                           tags_csv_text, truth_csv_text, write_ptag,
@@ -64,6 +65,87 @@ class TestPtag:
         write_ptag(empty, path)
         loaded = read_ptag(path)
         assert len(loaded.channels[0]) == 0
+
+
+class TestMalformedPtag:
+    """Every malformed or unwritable case raises TagFileError naming the file."""
+
+    def write(self, tmp_path, data, name="bad.ptag"):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return path
+
+    def test_truncated_record_block(self, tmp_path):
+        path = self.write(tmp_path, ptag_bytes(make_tagset())[:-4])
+        with pytest.raises(TagFileError, match="truncated PTAG record block") as exc:
+            read_ptag(path)
+        assert str(path) in str(exc.value)
+
+    def test_truncated_header(self, tmp_path):
+        path = self.write(tmp_path, ptag_bytes(make_tagset())[:12])
+        with pytest.raises(TagFileError, match="truncated PTAG header") as exc:
+            read_ptag(path)
+        assert str(path) in str(exc.value)
+
+    def test_channel_beyond_header_count(self, tmp_path):
+        data = bytearray(ptag_bytes(make_tagset()))
+        data[21:25] = (1).to_bytes(4, "little")  # header now declares 1 channel
+        path = self.write(tmp_path, bytes(data))
+        with pytest.raises(TagFileError, match="channel 1 but the header declares 1") as exc:
+            read_ptag(path)
+        assert str(path) in str(exc.value)
+
+    def test_channel_count_beyond_u8(self, tmp_path):
+        data = bytearray(ptag_bytes(make_tagset()))
+        data[21:25] = (2**32 - 1).to_bytes(4, "little")
+        path = self.write(tmp_path, bytes(data))
+        with pytest.raises(TagFileError, match="at most 256") as exc:
+            read_ptag(path)
+        assert str(path) in str(exc.value)
+
+    def test_decreasing_timestamps(self, tmp_path):
+        data = bytearray(ptag_bytes(make_tagset()))
+        last = len(data) - 8
+        data[last:] = (3).to_bytes(8, "little")  # last tag now precedes the rest
+        path = self.write(tmp_path, bytes(data))
+        with pytest.raises(TagFileError, match=r"non-decreasing .*\(record 5\)") as exc:
+            read_ptag(path)
+        assert str(path) in str(exc.value)
+
+    def test_write_channel_id_beyond_u8(self, tmp_path):
+        many = TimeTagSet(resolution_ps=1,
+                          channels={c: np.array([c], dtype=np.int64) for c in range(257)},
+                          duration=1e-9)
+        path = tmp_path / "many.ptag"
+        with pytest.raises(TagFileError, match="0..255") as exc:
+            write_ptag(many, path)
+        assert str(path) in str(exc.value)
+        assert not path.exists()
+
+    def test_256_channels_roundtrip(self, tmp_path):
+        full = TimeTagSet(resolution_ps=1,
+                          channels={c: np.array([c], dtype=np.int64) for c in range(256)},
+                          duration=1e-9)
+        write_ptag(full, tmp_path / "full.ptag")
+        loaded = read_ptag(tmp_path / "full.ptag")
+        assert loaded.channels[255].tolist() == [255]
+
+    def test_sparse_channel_ids_roundtrip(self, tmp_path):
+        sparse = TimeTagSet(resolution_ps=1,
+                            channels={0: np.array([1], dtype=np.int64),
+                                      3: np.array([2], dtype=np.int64)},
+                            duration=1e-9)
+        write_ptag(sparse, tmp_path / "sparse.ptag")
+        loaded = read_ptag(tmp_path / "sparse.ptag")
+        assert loaded.channels[3].tolist() == [2]
+        assert len(loaded.channels[1]) == 0
+
+    def test_unparsable_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("channel,time_ps\n0,12\n1,abc\n")
+        with pytest.raises(TagFileError) as exc:
+            read_tags(path)
+        assert str(path) in str(exc.value)
 
 
 class TestTagsCsv:
