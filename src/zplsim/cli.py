@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -77,8 +78,18 @@ def _parse_sweep(text: str):
     start, stop, step = (parse_quantity(p) for p in parts)
     if step <= 0 or stop < start:
         raise ConfigError(f"invalid sweep range {text!r}")
-    n = int(round((stop - start) / step))
+    # floor, so the last point never passes stop; the tolerance keeps a stop
+    # that float division lands just short of (0:0.3:0.1) in the sweep
+    n = math.floor((stop - start) / step * (1 + 1e-9))
     return [start + i * step for i in range(n + 1)]
+
+
+def _hbt_times(tags, command: str):
+    """Detection times of channels 0 and 1, the two arms of the HBT setup."""
+    if not {0, 1} <= tags.channels.keys():
+        raise PhysicsError(f"{command} needs detection channels 0 and 1 (HBT data); "
+                           f"the tag file has channels {sorted(tags.channels)}")
+    return tags.channel_times(0), tags.channel_times(1)
 
 
 def _csv_lines(header, rows) -> str:
@@ -110,12 +121,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_correlate(args) -> int:
     outdir = _outdir(args)
     tags = read_tags(args.tags)
-    if len(tags.channels) < 2:
-        raise PhysicsError("correlate needs two detection channels (HBT data)")
+    a, b = _hbt_times(tags, "correlate")
     bin_width = parse_quantity(args.bin_width)
     max_lag = parse_quantity(args.max_lag)
-    hist = correlate(tags.channel_times(0), tags.channel_times(1),
-                     bin_width, max_lag, duration=tags.duration)
+    hist = correlate(a, b, bin_width, max_lag, duration=tags.duration)
     g2 = normalize_g2(hist)
     rows = [(float(lag), int(c), float(v))
             for lag, c, v in zip(g2.lags, hist.bins, g2.bins)]
@@ -134,14 +143,12 @@ def _cmd_correlate(args) -> int:
 def _cmd_pulsed_g2(args) -> int:
     outdir = _outdir(args)
     tags = read_tags(args.tags)
-    if len(tags.channels) < 2:
-        raise PhysicsError("pulsed-g2 needs two detection channels (HBT data)")
+    a, b = _hbt_times(tags, "pulsed-g2")
     period = parse_quantity(args.period)
     window = parse_quantity(args.window)
     bin_width = parse_quantity(args.bin_width)
     max_lag = parse_quantity(args.max_lag) if args.max_lag else 4.5 * period
-    hist = correlate(tags.channel_times(0), tags.channel_times(1),
-                     bin_width, max_lag, duration=tags.duration)
+    hist = correlate(a, b, bin_width, max_lag, duration=tags.duration)
     ratio = pulsed_peak_ratio(hist, period, window)
     _write_json(os.path.join(outdir, "ratio.json"), {
         "ratio": ratio, "period_s": period, "window_s": window,

@@ -1,7 +1,8 @@
 """Second-order correlation analysis of time-tag streams.
 
 ``correlate`` counts every ordered tag pair within the lag window (full
-multi-start correlation, not start-stop) via sorted-merge windowing;
+multi-start correlation, not start-stop) via sorted-merge windowing, in time
+O(N + matches) and memory O(N + _PAIR_CHUNK) whatever the lag window;
 ``brute_force_coincidences`` is the O(N^2) oracle with the identical binning
 contract.  The center bin spans [-bin_width/2, +bin_width/2).
 """
@@ -16,7 +17,8 @@ import numpy as np
 from .errors import FitConvergenceError, InsufficientDataError
 
 BRUTE_FORCE_LIMIT = 10_000
-_CHUNK = 65_536
+# pairs binned per block; bounds the per-block temporaries
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass
@@ -76,26 +78,39 @@ def correlate(a, b, bin_width: float, max_lag: float,
     """Histogram of lags t_b - t_a over all pairs with |t_b - t_a| <= max_lag.
 
     Inputs are per-channel detection times in seconds, sorted ascending.
-    Runs in O(N + matches) using searchsorted windows.
+    Runs in O(N + matches) time using searchsorted windows.  Starts are
+    walked in blocks of at most ``_PAIR_CHUNK`` pairs (at least one start per
+    block), so memory is O(N + _PAIR_CHUNK) however long the lag window is.
     """
     a, b = _check_inputs(a, b, bin_width, max_lag)
     n_half = _half_bins(max_lag, bin_width)
     bins = np.zeros(2 * n_half + 1, dtype=np.int64)
 
-    for start in range(0, len(a), _CHUNK):
-        chunk = a[start:start + _CHUNK]
-        lo = np.searchsorted(b, chunk - max_lag, side="left")
-        hi = np.searchsorted(b, chunk + max_lag, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        # flat index of every in-window b for every a in the chunk
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        flat = (np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts))
-        lags = b[flat] - np.repeat(chunk, counts)
-        idx = np.floor(lags / bin_width + 0.5).astype(np.int64) + n_half
-        bins += np.bincount(idx, minlength=len(bins)).astype(np.int64)
+    lo = np.searchsorted(b, a - max_lag, side="left")
+    counts = np.searchsorted(b, a + max_lag, side="right") - lo
+    ends = np.cumsum(counts)  # pairs of starts 0..i inclusive
+    n_pairs = int(ends[-1]) if len(ends) else 0
+    offsets = np.arange(min(n_pairs, _PAIR_CHUNK))
+
+    first, done = 0, 0
+    while done < n_pairs:
+        last = max(int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")), first + 1)
+        block_counts = counts[first:last]
+        total = int(ends[last - 1]) - done
+        off = offsets[:total] if total <= len(offsets) else np.arange(total)
+        # flat index into b of every in-window pair: its offset within the
+        # block, minus where its start's pairs begin in the block, plus lo
+        pair_base = lo[first:last] - (ends[first:last] - block_counts - done)
+        flat = off + np.repeat(pair_base, block_counts)
+        lags = b[flat]
+        lags -= np.repeat(a[first:last], block_counts)
+        lags /= bin_width
+        lags += 0.5
+        np.floor(lags, out=lags)
+        idx = lags.astype(np.int64)
+        idx += n_half
+        bins += np.bincount(idx, minlength=len(bins))
+        first, done = last, done + total
 
     rate_a, rate_b, duration = _rates(a, b, duration)
     return CorrelationHistogram(bin_width, max_lag, bins, rate_a, rate_b, duration)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import zplsim
-from zplsim.cli import main
+from zplsim.cli import _parse_sweep, main
 
 
 def run(argv):
@@ -97,6 +97,14 @@ class TestCorrelate:
         csv.write_text("channel,time_ps\n0,100\n0,200\n")
         assert run(["correlate", "--tags", csv, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("command", [["correlate"], ["pulsed-g2", "--period", "100 ns"]])
+    def test_channels_without_0_rejected(self, tmp_path, capsys, command):
+        csv = tmp_path / "tags.csv"
+        csv.write_text("channel,time_ps\n1,100\n2,200\n1,300\n")
+        assert run(command + ["--tags", csv, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "channels 0 and 1" in err and "[1, 2]" in err
+
 
 class TestHom:
     def test_single_point(self, tmp_path, fig5a):
@@ -121,6 +129,13 @@ class TestHom:
 
     def test_requires_two_molecules(self, tmp_path, fig4a):
         assert run(["hom", "--config", fig4a, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("sweep, n, last", [("0:43:2", 22, 42.0), ("0:42:2", 22, 42.0),
+                                                ("0:0.3:0.1", 4, 0.3), ("5:5:1", 1, 5.0)])
+    def test_sweep_ends_at_or_before_stop(self, sweep, n, last):
+        voltages = _parse_sweep(sweep)
+        assert len(voltages) == n
+        assert voltages[-1] == pytest.approx(last)
 
 
 class TestSpectrumStarkScanBudget:

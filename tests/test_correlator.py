@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zplsim import (analytic_g2, brute_force_coincidences, correlate,
                     fit_antibunching, normalize_g2, pulsed_peak_ratio)
+from zplsim import correlator
 from zplsim.correlator import CorrelationHistogram
 
 
@@ -12,12 +15,20 @@ def poisson_times(rng, rate, duration):
     return np.sort(rng.random(n) * duration)
 
 
+def poisson_pair(seed):
+    rng = np.random.default_rng(seed)
+    return poisson_times(rng, 2e5, 0.01), poisson_times(rng, 3e5, 0.01)
+
+
+def integer_grid():
+    a = np.arange(0, 100, dtype=float) * 1e-9
+    return a, a + 0.5e-9
+
+
 class TestCorrelate:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        a = poisson_times(rng, 2e5, 0.01)
-        b = poisson_times(rng, 3e5, 0.01)
+        a, b = poisson_pair(seed)
         bw, lag = 250e-12, 100e-9
         fast = correlate(a, b, bw, lag)
         slow = brute_force_coincidences(a, b, bw, lag)
@@ -26,8 +37,7 @@ class TestCorrelate:
 
     def test_matches_brute_force_integer_grid(self):
         # lags landing exactly on bin edges must bin identically in both paths
-        a = np.arange(0, 100, dtype=float) * 1e-9
-        b = a + 0.5e-9
+        a, b = integer_grid()
         fast = correlate(a, b, 1e-9, 10e-9)
         slow = brute_force_coincidences(a, b, 1e-9, 10e-9)
         assert np.array_equal(fast.bins, slow.bins)
@@ -84,6 +94,44 @@ class TestCorrelate:
         fast = correlate(a, b, 10e-9, 200e-9)
         slow = brute_force_coincidences(a, b, 10e-9, 200e-9)
         assert np.array_equal(fast.bins, slow.bins)
+
+
+def block_cases():
+    for seed in range(5):
+        yield f"poisson-{seed}", (*poisson_pair(seed), 250e-12, 100e-9)
+    yield "integer-grid", (*integer_grid(), 1e-9, 10e-9)
+    # a 1 ms window over 2 ms of tags: every start holds ~100 pairs
+    rng = np.random.default_rng(17)
+    yield "long-window", (poisson_times(rng, 1e5, 2e-3), poisson_times(rng, 1e5, 2e-3),
+                          100e-9, 1e-3)
+    yield "empty-channel", (poisson_times(rng, 1e5, 2e-3), np.array([]), 1e-9, 10e-9)
+
+
+class TestPairBlocks:
+    """Blocks of 1, 3 and 7 pairs put block boundaries inside every input."""
+
+    @pytest.mark.parametrize("case", [pytest.param(c, id=name) for name, c in block_cases()])
+    def test_block_boundaries_match_brute_force(self, case, monkeypatch):
+        a, b, bw, lag = case
+        slow = brute_force_coincidences(a, b, bw, lag)
+        for pair_chunk in (1, 3, 7):
+            monkeypatch.setattr(correlator, "_PAIR_CHUNK", pair_chunk)
+            fast = correlate(a, b, bw, lag)
+            assert np.array_equal(fast.bins, slow.bins), f"_PAIR_CHUNK={pair_chunk}"
+
+    def test_memory_bounded_by_pair_block(self):
+        # ~8 M pairs (~250 MB as int64 lags), so the bound fails if memory grows with pairs
+        rng = np.random.default_rng(29)
+        a = poisson_times(rng, 2e6, 0.1)
+        b = poisson_times(rng, 2e6, 0.1)
+        tracemalloc.start()
+        try:
+            h = correlate(a, b, 10e-9, 10e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(h.bins.sum()) > 7_000_000
+        assert peak < 32 * 2**20
 
 
 class TestNormalize:
