@@ -52,15 +52,13 @@ def _write_manifest(args, outdir, extra=None) -> None:
     manifest = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "out": os.path.abspath(outdir),
         "version": __version__,
         "inputs": {},
     }
     for attr in ("config", "tags"):
         path = getattr(args, attr, None)
         if path:
-            manifest["inputs"][attr] = {"path": os.path.abspath(path),
-                                        "sha256": _sha256(path)}
+            manifest["inputs"][attr] = {"path": path, "sha256": _sha256(path)}
     if extra:
         manifest.update(extra)
     _write_json(os.path.join(outdir, "manifest.json"), manifest)

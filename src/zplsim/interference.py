@@ -4,8 +4,9 @@ Photons are single-sided exponential wavepackets; the mode overlap fixes the
 Hong-Ou-Mandel coincidence probability behind a balanced beam splitter, and
 the time-resolved coincidence density shows quantum beats at the detuning.
 ``simulate_hom`` runs a semi-analytic Monte Carlo two-microscope experiment:
-emission times come from per-pulse kinetic draws, coincidences are Bernoulli
-with the pairwise analytic probability.
+emission times come from the per-pulse draws of the pulsed sampler in
+``kmc`` (``pulse_draws``/``start_times``, the same one ``simulate_stream``
+uses), coincidences are Bernoulli with the pairwise analytic probability.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError
+from .kmc import pulse_draws, start_times
 from .model import (DEFAULT_K_VIB, TWO_PI, LaserSpec, SceneSpec, pump_rate,
                     shifted_center)
 
@@ -88,34 +90,6 @@ class HomResult:
     voltage_b: float
 
 
-def _per_pulse_draws(rng, pump, width, branching, n_pulses):
-    """One uniform per pulse: did the source emit a ZPL photon in it.
-
-    The source is excited in a pulse with probability ``p_exc = 1 -
-    exp(-pump*width)`` and then emits into the ZPL with probability
-    ``branching``, independently, so it emits iff ``u < p_exc*branching``
-    for one uniform ``u``.  Given that it emitted, ``u/branching`` is uniform
-    on ``[0, p_exc)``, so ``-log1p(-u/branching)/pump`` is an exponential
-    excitation time truncated to the pulse window: the same uniform also
-    fixes *when* the source was excited.  Returns the emitted mask and the
-    uniforms; ``_start_times`` turns the uniforms of the pulses that are
-    scored into times, so no time is computed for a pulse that is not.
-    """
-    if pump <= 0:
-        return np.zeros(n_pulses, dtype=bool), np.zeros(n_pulses)
-    p_exc = -math.expm1(-pump * width)
-    u = rng.random(n_pulses)
-    return u < p_exc * branching, u
-
-
-def _start_times(rng, u, pump, branching, k_vib):
-    """Emitting-state population times for emitted pulses with uniforms ``u``:
-    the truncated-exponential excitation time plus an exponential
-    vibrational relaxation delay of mean ``1/k_vib``."""
-    t_exc = -np.log1p(-u / branching) / pump
-    return t_exc + rng.exponential(1.0 / k_vib, len(u))
-
-
 def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
                  n_pulses: int, voltage_a: float, voltage_b: float,
                  seed: int | np.random.SeedSequence,
@@ -148,10 +122,10 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng_a, rng_b, rng_bs = (np.random.default_rng(s) for s in seed.spawn(3))
-    em_a, u_a = _per_pulse_draws(rng_a, pump_a, laser.pulse_width,
-                                 mol_a.zpl_branching, n_pulses)
-    em_b, u_b = _per_pulse_draws(rng_b, pump_b, laser.pulse_width,
-                                 mol_b.zpl_branching, n_pulses)
+    em_a, u_a = pulse_draws(rng_a, pump_a, laser.pulse_width,
+                            mol_a.zpl_branching, n_pulses)
+    em_b, u_b = pulse_draws(rng_b, pump_b, laser.pulse_width,
+                            mol_b.zpl_branching, n_pulses)
 
     both = em_a & em_b
     singles = int(np.count_nonzero(em_a ^ em_b))
@@ -160,8 +134,8 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
         return HomResult(n_pulses, 0, singles, 0, math.nan, math.nan,
                          voltage_a, voltage_b)
 
-    t_a = _start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, k_vib)
-    t_b = _start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, k_vib)
+    t_a = start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, k_vib)
+    t_b = start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, k_vib)
     delta = TWO_PI * (carrier_b - carrier_a)
     g_mean = 0.5 * (gamma_a + gamma_b)
     overlap = (gamma_a * gamma_b

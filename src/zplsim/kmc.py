@@ -4,8 +4,10 @@ Each molecule runs the ground -> vibronic -> emitting -> ground cycle with
 exponential waiting times; every decay of the emitting state produces one
 photon record.  In pulsed mode the pump is gated by a rectangular pulse
 train and each window triggers at most one excitation, so a single emitter
-yields at most one photon per pulse.  The detection chain thins, splits,
-jitters, quantizes and dead-time prunes the stream into integer time tags.
+yields at most one photon per pulse.  ``pulse_draws``/``start_times`` are
+the one pulsed sampler, shared by ``simulate_stream`` and
+``interference.simulate_hom``.  The detection chain thins, splits, jitters,
+quantizes and dead-time prunes the stream into integer time tags.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ class TimeTagSet:
     resolution_ps: int
     channels: dict[int, np.ndarray]
     duration: float
-    seed: int = 0
-    scene_digest: str = ""
 
     @property
     def duration_ticks(self) -> int:
@@ -61,25 +61,6 @@ class TimeTagSet:
     def channel_times(self, channel: int) -> np.ndarray:
         """Tags of one channel converted to seconds."""
         return self.channels[channel].astype(np.float64) * (self.resolution_ps * 1e-12)
-
-
-def _gated_advance(t: float, active_needed: float, period: float, width: float) -> float:
-    """Time at which ``active_needed`` seconds of in-pulse exposure accumulate.
-
-    Pulse windows are [k*period, k*period + width).
-    """
-    phase = t % period
-    if phase < width:
-        available = width - phase
-        if active_needed < available:
-            return t + active_needed
-        active_needed -= available
-        t += available
-        phase = width
-    t += period - phase  # start of the next window
-    n_full = int(active_needed // width)
-    active_needed -= n_full * width
-    return t + n_full * period + active_needed
 
 
 def _emission_times_cw(rng, pump, k_vib, gamma, duration):
@@ -100,28 +81,71 @@ def _emission_times_cw(rng, pump, k_vib, gamma, duration):
     return times[times < duration]
 
 
-def _emission_times_pulsed(rng, pump, k_vib, gamma, duration, period, width):
+def pulse_draws(rng, pump, width, branching, n_pulses):
+    """One uniform per pulse: did the source emit a ZPL photon in it.
+
+    The source is excited in a pulse with probability ``p_exc = 1 -
+    exp(-pump*width)`` and then emits into the ZPL with probability
+    ``branching``, independently, so it emits iff ``u < p_exc*branching``
+    for one uniform ``u``.  Given that it emitted, ``u/branching`` is uniform
+    on ``[0, p_exc)``, so ``-log1p(-u/branching)/pump`` is an exponential
+    excitation time truncated to the pulse window: the same uniform also
+    fixes *when* the source was excited.  Returns the emitted mask and the
+    uniforms; ``start_times`` turns the uniforms of the pulses that are
+    scored into times, so no time is computed for a pulse that is not.
+    """
     if pump <= 0:
-        return np.empty(0)
-    times = []
-    t = 0.0
-    inv_pump = 1.0 / pump
-    inv_kvib = 1.0 / k_vib
-    inv_gamma = 1.0 / gamma
-    exponential = rng.exponential
-    while True:
-        t_exc = _gated_advance(t, exponential(inv_pump), period, width)
-        if t_exc >= duration:
-            break
-        t_emit = t_exc + exponential(inv_kvib) + exponential(inv_gamma)
-        if t_emit >= duration:
-            break
-        times.append(t_emit)
-        # triggered operation: at most one excitation per pulse window, so
-        # the pump clock resumes no earlier than the next window
-        next_window = (math.floor(t_exc / period) + 1.0) * period
-        t = max(t_emit, next_window)
-    return np.asarray(times)
+        return np.zeros(n_pulses, dtype=bool), np.zeros(n_pulses)
+    p_exc = -math.expm1(-pump * width)
+    u = rng.random(n_pulses)
+    return u < p_exc * branching, u
+
+
+def start_times(rng, u, pump, branching, k_vib):
+    """Emitting-state population times for emitted pulses with uniforms ``u``:
+    the truncated-exponential excitation time plus an exponential
+    vibrational relaxation delay of mean ``1/k_vib``."""
+    t_exc = -np.log1p(-u / branching) / pump
+    return t_exc + rng.exponential(1.0 / k_vib, len(u))
+
+
+def _emission_times_pulsed(rng, pump, k_vib, gamma, duration, period, width):
+    """Photon times of one triggered emitter, through the one pulsed sampler.
+
+    ``pulse_draws`` (branching 1) draws every window at once; excited window
+    k emits at ``k*period + start_times(...) + Exp(1/gamma)``.  A window that
+    opens while the previous photon is pending, at ``t_prev``, keeps its draw
+    ``E = -log1p(-u)/pump`` but counts it from ``t_prev``: it excites only if
+    ``t_prev + E`` is inside the window, and its photon moves later by
+    ``t_prev - k*period``.  The pump is memoryless, so the exposure after
+    ``t_prev`` is again Exp(1/pump) and this is exactly the sequential
+    process; it can cancel or delay an excitation but never create one.
+    Only such windows are walked in Python, carrying the last kept emission.
+    """
+    excited, u = pulse_draws(rng, pump, width, 1.0, math.ceil(duration / period))
+    window = np.flatnonzero(excited)
+    u = u[window]
+    opens = window * period
+    times = opens + start_times(rng, u, pump, 1.0, k_vib)
+    times += rng.exponential(1.0 / gamma, len(window))
+
+    kept = np.ones(len(window), dtype=bool)
+    settled = 0
+    for i in (np.flatnonzero(times[:-1] > opens[1:]) + 1).tolist():
+        if i <= settled:  # already walked as part of an earlier chain
+            continue
+        t_prev = times[i - 1]
+        while i < len(window) and t_prev > opens[i]:
+            delay = t_prev - opens[i]
+            if -math.log1p(-u[i]) / pump + delay < width:
+                times[i] += delay
+                t_prev = times[i]
+            else:
+                kept[i] = False
+            i += 1
+        settled = i
+    times = times[kept]
+    return times[times < duration]
 
 
 def simulate_stream(scene: SceneSpec, laser: LaserSpec, duration: float,
@@ -242,5 +266,4 @@ def apply_detection(photons: PhotonStream, det: DetectionSpec, split: str = "hbt
         channels[ch] = _prune_dead_time(ticks, dead_ticks)
 
     return TimeTagSet(resolution_ps=det.resolution, channels=channels,
-                      duration=photons.duration, seed=seed,
-                      scene_digest=photons.scene_digest)
+                      duration=photons.duration)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from zplsim import (LaserSpec, MoleculeSpec, PhysicsError, SceneSpec,
                     Wavepacket, beat_coincidence_density, hom_coincidence_prob,
                     hom_sweep, simulate_hom, wavepacket_overlap)
+from zplsim.kmc import pulse_draws, start_times
 
 GAMMA = 1 / 9.4e-9
 
@@ -196,15 +197,15 @@ class TestSimulateHom:
 
 
 class TestPerPulseSampler:
-    """The HOM draw: one uniform per pulse decides emission, and for emitted
-    pulses the same uniform gives the truncated-exponential excitation time."""
+    """The pulsed sampler shared by the HOM Monte Carlo and the photon stream:
+    one uniform per pulse decides emission, and for emitted pulses the same
+    uniform gives the truncated-exponential excitation time."""
 
     PUMP, WIDTH, BRANCHING = 3e9, 700e-12, 0.35
 
     def draw(self, n=400_000, seed=11):
-        from zplsim.interference import _per_pulse_draws
         rng = np.random.default_rng(seed)
-        return rng, _per_pulse_draws(rng, self.PUMP, self.WIDTH, self.BRANCHING, n)
+        return rng, pulse_draws(rng, self.PUMP, self.WIDTH, self.BRANCHING, n)
 
     def test_emitted_fraction(self):
         n = 400_000
@@ -214,12 +215,9 @@ class TestPerPulseSampler:
         assert abs(np.count_nonzero(emitted) - n * p) < 5 * sigma
 
     def test_excitation_times_are_truncated_exponential(self):
-        from scipy import stats
-
-        from zplsim.interference import _start_times
         rng, (emitted, u) = self.draw()
         # an infinite k_vib makes the vibrational delay zero
-        t_exc = _start_times(rng, u[emitted], self.PUMP, self.BRANCHING, math.inf)
+        t_exc = start_times(rng, u[emitted], self.PUMP, self.BRANCHING, math.inf)
         p_exc = -math.expm1(-self.PUMP * self.WIDTH)
         assert t_exc.min() >= 0 and t_exc.max() <= self.WIDTH
 
@@ -229,19 +227,17 @@ class TestPerPulseSampler:
         assert stats.kstest(t_exc, cdf).pvalue > 1e-3
 
     def test_vibrational_delay_mean(self):
-        from zplsim.interference import _start_times
         rng, (emitted, u) = self.draw()
         k_vib = 1e11
         u = u[emitted]
         t_exc = -np.log1p(-u / self.BRANCHING) / self.PUMP
-        delay = _start_times(rng, u, self.PUMP, self.BRANCHING, k_vib) - t_exc
+        delay = start_times(rng, u, self.PUMP, self.BRANCHING, k_vib) - t_exc
         # exponential delay: mean 1/k_vib, standard error 1/(k_vib sqrt(n))
         assert abs(delay.mean() - 1 / k_vib) < 5 / (k_vib * math.sqrt(len(u)))
 
     def test_no_pump_never_emits(self):
-        from zplsim.interference import _per_pulse_draws
-        emitted, _ = _per_pulse_draws(np.random.default_rng(0), 0.0, self.WIDTH,
-                                      self.BRANCHING, 100)
+        emitted, _ = pulse_draws(np.random.default_rng(0), 0.0, self.WIDTH,
+                                 self.BRANCHING, 100)
         assert not emitted.any()
 
 
