@@ -1,9 +1,8 @@
 """Simulation and analysis toolkit for cryogenic single-molecule photon sources."""
 
 from .config import ExperimentConfig, load_config, parse_quantity
-from .correlator import (AntibunchingFit, CorrelationHistogram,
-                         brute_force_coincidences, correlate, fit_antibunching,
-                         normalize_g2, pulsed_peak_ratio)
+from .correlator import (AntibunchingFit, CorrelationHistogram, correlate,
+                         fit_antibunching, normalize_g2, pulsed_peak_ratio)
 from .errors import (ConfigError, FitConvergenceError, FitError,
                      InsufficientDataError, PhysicsError, TagFileError)
 from .interference import (HomResult, Wavepacket, beat_coincidence_density,

@@ -7,13 +7,14 @@ violation, 3 I/O failure, 4 malformed tag file (truncated PTAG records,
 channel ids outside the header's count, decreasing timestamps, unparsable
 CSV) or tags the PTAG layout cannot hold.
 
-Only the commands that fit or evaluate Voigt lines (``correlate``, ``stark``,
-``scan``, ``spectrum``) import scipy; the others run on numpy alone.
+Only the commands that fit peaks or evaluate Voigt lines (``stark``, ``scan``,
+``spectrum``) import scipy; the others run on numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -64,11 +65,6 @@ def _write_manifest(args, outdir, extra=None) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _parse_sweep(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -98,11 +94,11 @@ def _csv_lines(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the parsed arguments, the loaded configuration (None
+# for commands without --config) and the output directory, writes its
+# artifacts and returns what it adds to the manifest
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_simulate(args, cfg, outdir) -> dict:
     duration = parse_quantity(args.duration)
     photons = simulate_stream(cfg.scene, cfg.laser, duration, args.seed)
     tags = apply_detection(photons, cfg.detection, split="hbt", seed=args.seed)
@@ -111,13 +107,10 @@ def _cmd_simulate(args) -> int:
     else:
         write_tags_csv(tags, os.path.join(outdir, "tags.csv"))
     write_truth_csv(photons, os.path.join(outdir, "truth.csv"))
-    _write_manifest(args, outdir, {"duration_s": duration, "format": args.format,
-                                   "scene_digest": photons.scene_digest})
-    return 0
+    return {"duration_s": duration, "format": args.format}
 
 
-def _cmd_correlate(args) -> int:
-    outdir = _outdir(args)
+def _cmd_correlate(args, cfg, outdir) -> dict:
     tags = read_tags(args.tags)
     a, b = _hbt_times(tags, "correlate")
     bin_width = parse_quantity(args.bin_width)
@@ -129,17 +122,11 @@ def _cmd_correlate(args) -> int:
     atomic_write_text(os.path.join(outdir, "histogram.csv"),
                       _csv_lines("lag_s,counts,g2", rows))
     fit = fit_antibunching(g2)
-    _write_json(os.path.join(outdir, "fit.json"), {
-        "g2_zero": fit.g2_zero, "decay_time_s": fit.decay_time_s,
-        "plateau": fit.plateau, "residual_norm": fit.residual_norm,
-        "degenerate": fit.degenerate,
-    })
-    _write_manifest(args, outdir, {"bin_width_s": bin_width, "max_lag_s": max_lag})
-    return 0
+    _write_json(os.path.join(outdir, "fit.json"), dataclasses.asdict(fit))
+    return {"bin_width_s": bin_width, "max_lag_s": max_lag}
 
 
-def _cmd_pulsed_g2(args) -> int:
-    outdir = _outdir(args)
+def _cmd_pulsed_g2(args, cfg, outdir) -> dict:
     tags = read_tags(args.tags)
     a, b = _hbt_times(tags, "pulsed-g2")
     period = parse_quantity(args.period)
@@ -151,13 +138,10 @@ def _cmd_pulsed_g2(args) -> int:
     _write_json(os.path.join(outdir, "ratio.json"), {
         "ratio": ratio, "period_s": period, "window_s": window,
     })
-    _write_manifest(args, outdir, {"period_s": period, "window_s": window})
-    return 0
+    return {"period_s": period, "window_s": window}
 
 
-def _cmd_hom(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_hom(args, cfg, outdir) -> dict:
     scene_a, scene_b = split_two_source(cfg.scene)
     if args.sweep:
         voltages = _parse_sweep(args.sweep)
@@ -175,14 +159,10 @@ def _cmd_hom(args) -> int:
             "p_estimate": r.p_estimate, "p_error": r.p_error,
             "voltage": r.voltage_b,
         })
-    _write_manifest(args, outdir, {"pulses": args.pulses,
-                                   "voltage": args.voltage, "sweep": args.sweep})
-    return 0
+    return {"pulses": args.pulses, "voltage": args.voltage, "sweep": args.sweep}
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_spectrum(args, cfg, outdir) -> dict:
     if args.kind == "excitation":
         span = parse_quantity(args.span)
         axis = np.linspace(-span / 2, span / 2, args.points)
@@ -197,13 +177,10 @@ def _cmd_spectrum(args) -> int:
     rows = list(zip(spec.axis.tolist(), spec.values.tolist()))
     atomic_write_text(os.path.join(outdir, "spectrum.csv"),
                       _csv_lines("axis,value", rows))
-    _write_manifest(args, outdir, {"kind": args.kind})
-    return 0
+    return {"kind": args.kind}
 
 
-def _cmd_stark(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_stark(args, cfg, outdir) -> dict:
     scene_a, scene_b = split_two_source(cfg.scene)
     voltages = _parse_sweep(args.sweep)
     span = parse_quantity(args.span)
@@ -221,13 +198,10 @@ def _cmd_stark(args) -> int:
                   "resolved": s.resolved, "fwhm_hz": s.fwhm}
                  for v, s in zip(voltages, separations)],
     })
-    _write_manifest(args, outdir, {"sweep": args.sweep})
-    return 0
+    return {"sweep": args.sweep}
 
 
-def _cmd_scan(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_scan(args, cfg, outdir) -> dict:
     image = confocal_scan(cfg.scene, psf_fwhm_nm=args.psf_fwhm,
                           grid=(args.grid, args.grid), pixel_pitch_um=args.pitch,
                           brightness=args.brightness, background=args.background,
@@ -242,14 +216,10 @@ def _cmd_scan(args) -> int:
                 "fwhm_nm": fit.fwhm * 1e3, "amplitude": fit.amplitude,
                 "offset": fit.offset},
     })
-    _write_manifest(args, outdir, {"psf_fwhm_nm": args.psf_fwhm,
-                                   "grid": args.grid, "pitch_um": args.pitch})
-    return 0
+    return {"psf_fwhm_nm": args.psf_fwhm, "grid": args.grid, "pitch_um": args.pitch}
 
 
-def _cmd_budget(args) -> int:
-    cfg = load_config(args.config)
-    outdir = _outdir(args)
+def _cmd_budget(args, cfg, outdir) -> dict:
     if not cfg.scene.molecules:
         raise PhysicsError("budget needs at least one molecule")
     mol = cfg.scene.molecules[0]
@@ -260,8 +230,7 @@ def _cmd_budget(args) -> int:
         "pump_rate_hz": pump, "p_excited": populations[2],
         "detected_zpl_rate_hz": detected,
     })
-    _write_manifest(args, outdir)
-    return 0
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +312,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config) if "config" in args else None
+        os.makedirs(args.out, exist_ok=True)
+        _write_manifest(args, args.out, args.func(args, cfg, args.out))
+        return 0
     except ConfigError as exc:
         print(f"zplsim: configuration error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ Sections: ``[scene]``, ``[molecule.<id>]``, ``[laser]``, ``[detection]``,
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ _UNITS = {
     "V": 1.0, "kV": 1e3,
 }
 
-_QUANTITY_RE = re.compile(r"\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)\s*$")
+_QUANTITY_RE = re.compile(
+    r"\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)\s*$")
 
 
 def parse_quantity(text: str, field_unit_si: float = 1.0) -> float:
@@ -29,18 +31,20 @@ def parse_quantity(text: str, field_unit_si: float = 1.0) -> float:
 
     Suffixed values are converted from SI into the field's native unit
     (``field_unit_si`` = SI size of one field unit); bare numbers are
-    returned unchanged.
+    returned unchanged.  Non-finite values are rejected.
     """
     m = _QUANTITY_RE.match(text)
     if not m:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
     suffix = m.group(2)
-    if not suffix:
-        return value
-    if suffix not in _UNITS:
-        raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
-    return value * _UNITS[suffix] / field_unit_si
+    if suffix:
+        if suffix not in _UNITS:
+            raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
+        value = value * _UNITS[suffix] / field_unit_si
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {text!r} is not finite")
+    return value
 
 
 def _number(text: str) -> float:

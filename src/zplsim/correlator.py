@@ -2,9 +2,8 @@
 
 ``correlate`` counts every ordered tag pair within the lag window (full
 multi-start correlation, not start-stop) via sorted-merge windowing, in time
-O(N + matches) and memory O(N + _PAIR_CHUNK) whatever the lag window;
-``brute_force_coincidences`` is the O(N^2) oracle with the identical binning
-contract.  The center bin spans [-bin_width/2, +bin_width/2).
+O(N + matches) and memory O(N + _PAIR_CHUNK) whatever the lag window.  The
+center bin spans [-bin_width/2, +bin_width/2).
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitConvergenceError, InsufficientDataError
+from .errors import InsufficientDataError
 
-BRUTE_FORCE_LIMIT = 10_000
 # pairs binned per block; bounds the per-block temporaries
 _PAIR_CHUNK = 1 << 18
 
@@ -116,23 +114,6 @@ def correlate(a, b, bin_width: float, max_lag: float,
     return CorrelationHistogram(bin_width, max_lag, bins, rate_a, rate_b, duration)
 
 
-def brute_force_coincidences(a, b, bin_width: float, max_lag: float,
-                             duration: float | None = None) -> CorrelationHistogram:
-    """Exhaustive O(N^2) reference with the identical binning contract."""
-    a, b = _check_inputs(a, b, bin_width, max_lag)
-    if len(a) > BRUTE_FORCE_LIMIT or len(b) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} tags per channel")
-    n_half = _half_bins(max_lag, bin_width)
-    bins = np.zeros(2 * n_half + 1, dtype=np.int64)
-    for ta in a:
-        for tb in b:
-            lag = tb - ta
-            if abs(lag) <= max_lag:
-                bins[int(math.floor(lag / bin_width + 0.5)) + n_half] += 1
-    rate_a, rate_b, duration = _rates(a, b, duration)
-    return CorrelationHistogram(bin_width, max_lag, bins, rate_a, rate_b, duration)
-
-
 def normalize_g2(h: CorrelationHistogram) -> CorrelationHistogram:
     """Divide counts by rate_a * rate_b * duration * bin_width.
 
@@ -152,57 +133,88 @@ def normalize_g2(h: CorrelationHistogram) -> CorrelationHistogram:
 
 @dataclass
 class AntibunchingFit:
-    """Fit of plateau - (plateau - g2_zero) * exp(-|tau|/decay_time)."""
+    """Poisson fit of g2(lag) = 1 - (1 - g2_zero) * exp(-|lag|/decay_time).
+
+    Errors are Fisher standard errors.  ``underdetermined`` marks a decay
+    time the counts do not fix: its error is at least its value, or it sits
+    on a bound (the largest lag in the histogram, or bin_width/64).
+    """
 
     g2_zero: float
     decay_time_s: float
-    plateau: float
-    residual_norm: float
-    degenerate: bool = False
+    g2_zero_error: float
+    decay_time_error_s: float
+    deviance_per_dof: float
+    pairs: int
+    underdetermined: bool
 
 
 def fit_antibunching(h: CorrelationHistogram) -> AntibunchingFit:
-    """Least-squares antibunching fit of a normalized g2 histogram.
+    """Maximum-likelihood antibunching fit of a normalized g2 histogram.
 
-    A flat curve leaves the decay time unidentifiable; such inputs are
-    returned with ``degenerate=True`` rather than raising.
+    The counts, bins * S with S = rate_a * rate_b * duration * bin_width
+    (what ``normalize_g2`` divides by), are Poisson with mean
+    mu = S * (1 - (1 - g0) * exp(-|lag|/tau)); the plateau is fixed at 1.
+    g0 >= 0 and bin_width/64 <= tau <= max |lag| minimize the Poisson
+    deviance by Fisher scoring in (g0, log tau) with step halving (Baker &
+    Cousins, NIM 221, 437 (1984)).
+    A singular Fisher information gives infinite errors.
     """
     if not h.normalized:
         raise ValueError("fit_antibunching needs a normalized histogram")
-    x = h.lags
-    y = np.asarray(h.bins, dtype=np.float64)
-    if len(y) < 5:
+    if len(h.bins) < 5:
         raise InsufficientDataError("need at least 5 bins")
+    scale = h.rate_a * h.rate_b * h.duration * h.bin_width
+    x = np.abs(h.lags)
+    n = np.asarray(h.bins, dtype=np.float64) * scale
+    # below bin_width/64 exp(-|lag|/tau) < 1e-27 at every lag but 0: the
+    # model no longer changes, so that is where log(tau) stops
+    lower = np.array([0.0, math.log(h.bin_width / 64)])
+    upper = np.array([np.inf, math.log(x.max())])
 
-    plateau0 = float(np.mean(y[np.abs(x) > 0.75 * x.max()])) if len(y) > 8 else float(np.mean(y))
-    g0_0 = float(y[len(y) // 2])
-    if np.ptp(y) <= 1e-12 * max(1.0, abs(plateau0)):
-        return AntibunchingFit(g2_zero=plateau0, decay_time_s=math.nan,
-                               plateau=plateau0, residual_norm=0.0, degenerate=True)
-    # initial decay guess: lag at which the dip has half recovered
-    depth = plateau0 - g0_0
-    rec = np.abs(y - plateau0) < 0.5 * abs(depth)
-    tau0 = float(np.min(np.abs(x[rec & (np.abs(x) > 0)]))) if np.any(rec & (np.abs(x) > 0)) \
-        else 0.1 * x.max()
-    tau0 = max(tau0, h.bin_width)
+    def evaluate(theta):
+        """Deviance, Fisher information and score at (g0, log tau)."""
+        e = np.exp(-x / math.exp(theta[1]))
+        mu = scale * (1.0 - (1.0 - theta[0]) * e)
+        jac = scale * np.column_stack([e, (theta[0] - 1.0) * e * x / math.exp(theta[1])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a bin with mu = 0 adds nothing without counts, infinity with them
+            deviance = 2.0 * np.sum(np.where(n > 0, n * np.log(n / mu), 0.0) - n + mu)
+        w = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0)
+        return float(deviance), (jac.T * w) @ jac, jac.T @ ((n - mu) * w)
 
-    def model(tau, g0, tau_d, p):
-        return p - (p - g0) * np.exp(-np.abs(tau) / tau_d)
+    theta = np.array([0.5, 0.5 * (math.log(h.bin_width) + upper[1])])
+    deviance, info, score = evaluate(theta)
+    for _ in range(100):
+        # a parameter on a bound whose score points outward stays there
+        free = ~(((theta <= lower) & (score < 0)) | ((theta >= upper) & (score > 0)))
+        step = np.zeros(2)
+        try:
+            step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(40):  # step halving
+            trial = np.clip(theta + step, lower, upper)
+            trial_fit = evaluate(trial)
+            if trial_fit[0] <= deviance:
+                break
+            step /= 2.0
+        else:
+            break
+        moved = np.abs(trial - theta).max()
+        theta, (deviance, info, score) = trial, trial_fit
+        if moved < 1e-10:
+            break
 
-    # scipy is imported here, not at module top, so that commands which never
-    # fit do not pay its import time
-    from scipy.optimize import curve_fit
+    tau = math.exp(theta[1])
     try:
-        popt, _ = curve_fit(model, x, y, p0=(g0_0, tau0, plateau0),
-                            bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),
-                            maxfev=20_000)
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"antibunching fit did not converge: {exc}") from exc
-    g0, tau_d, plateau = (float(v) for v in popt)
-    residual = float(np.linalg.norm(y - model(x, *popt)))
-    degenerate = abs(plateau - g0) < 1e-9 * max(1.0, abs(plateau))
-    return AntibunchingFit(g2_zero=g0, decay_time_s=tau_d, plateau=plateau,
-                           residual_norm=residual, degenerate=degenerate)
+        variances = np.diag(np.linalg.inv(info))
+    except np.linalg.LinAlgError:  # singular: the counts do not fix (g0, tau)
+        variances = np.full(2, np.inf)
+    g0_error, tau_error = np.sqrt(np.where(variances >= 0, variances, np.inf)) * [1.0, tau]
+    return AntibunchingFit(float(theta[0]), tau, float(g0_error), float(tau_error),
+                           deviance / (len(n) - 2), int(round(n.sum())),
+                           bool(tau_error >= tau or not lower[1] < theta[1] < upper[1]))
 
 
 def pulsed_peak_ratio(h: CorrelationHistogram, period: float, window: float) -> float:

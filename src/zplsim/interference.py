@@ -44,18 +44,23 @@ class Wavepacket:
         return env * np.exp(-1j * TWO_PI * self.carrier * t)
 
 
-def wavepacket_overlap(a: Wavepacket, b: Wavepacket) -> float:
-    """|<a|b>|^2 of two exponential wavepackets, in [0, 1].
+def mode_overlap(gamma_a, gamma_b, t_a, t_b, delta):
+    """|<a|b>|^2 of exponential wavepackets with decay rates gamma_a, gamma_b,
+    emission times t_a, t_b (arrays broadcast) and angular detuning delta.
 
     For equal decay rates this reduces to
-    G^2/(G^2 + Delta^2) * exp(-G |dt|) with Delta = 2*pi*(nu_b - nu_a).
+    G^2/(G^2 + delta^2) * exp(-G |t_b - t_a|).
     """
-    t_start = max(a.emit_time, b.emit_time)
-    delta = TWO_PI * (b.carrier - a.carrier)
-    g_mean = 0.5 * (a.decay_rate + b.decay_rate)
-    log_num = (a.decay_rate * a.emit_time + b.decay_rate * b.emit_time
-               - 2.0 * g_mean * t_start)
-    return a.decay_rate * b.decay_rate * math.exp(log_num) / (g_mean * g_mean + delta * delta)
+    g_mean = 0.5 * (gamma_a + gamma_b)
+    return (gamma_a * gamma_b
+            * np.exp(gamma_a * t_a + gamma_b * t_b - 2.0 * g_mean * np.maximum(t_a, t_b))
+            / (g_mean * g_mean + delta * delta))
+
+
+def wavepacket_overlap(a: Wavepacket, b: Wavepacket) -> float:
+    """|<a|b>|^2 of two exponential wavepackets, in [0, 1]."""
+    return float(mode_overlap(a.decay_rate, b.decay_rate, a.emit_time, b.emit_time,
+                              TWO_PI * (b.carrier - a.carrier)))
 
 
 def hom_coincidence_prob(overlap_sq: float) -> float:
@@ -86,7 +91,6 @@ class HomResult:
     coincidences: int
     p_estimate: float
     p_error: float
-    voltage_a: float
     voltage_b: float
 
 
@@ -131,17 +135,11 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     singles = int(np.count_nonzero(em_a ^ em_b))
     n_both = int(np.count_nonzero(both))
     if n_both == 0:
-        return HomResult(n_pulses, 0, singles, 0, math.nan, math.nan,
-                         voltage_a, voltage_b)
+        return HomResult(n_pulses, 0, singles, 0, math.nan, math.nan, voltage_b)
 
     t_a = start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, k_vib)
     t_b = start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, k_vib)
-    delta = TWO_PI * (carrier_b - carrier_a)
-    g_mean = 0.5 * (gamma_a + gamma_b)
-    overlap = (gamma_a * gamma_b
-               * np.exp(gamma_a * t_a + gamma_b * t_b
-                        - 2.0 * g_mean * np.maximum(t_a, t_b))
-               / (g_mean * g_mean + delta * delta))
+    overlap = mode_overlap(gamma_a, gamma_b, t_a, t_b, TWO_PI * (carrier_b - carrier_a))
     mismatch = mol_a.polarization_angle - mol_b.polarization_angle
     if mismatch:
         overlap = overlap * math.cos(mismatch) ** 2
@@ -151,7 +149,7 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     p_estimate = coincidences / n_both
     p_error = math.sqrt(max(p_estimate * (1.0 - p_estimate), 1.0 / n_both) / n_both)
     return HomResult(n_pulses, n_both, singles, coincidences,
-                     p_estimate, p_error, voltage_a, voltage_b)
+                     p_estimate, p_error, voltage_b)
 
 
 def hom_sweep(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,

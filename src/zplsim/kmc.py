@@ -34,16 +34,15 @@ class PhotonStream:
     source_ids: np.ndarray
     branches: np.ndarray
     duration: float
-    scene_digest: str = ""
 
     def __len__(self) -> int:
         return len(self.times)
 
     @staticmethod
-    def empty(duration: float, scene_digest: str = "") -> "PhotonStream":
+    def empty(duration: float) -> "PhotonStream":
         z = np.empty(0)
         return PhotonStream(z, z.copy(), np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=np.uint8), duration, scene_digest)
+                            np.empty(0, dtype=np.uint8), duration)
 
 
 @dataclass
@@ -196,16 +195,15 @@ def simulate_stream(scene: SceneSpec, laser: LaserSpec, duration: float,
             all_src.append(np.full(n_bg, BACKGROUND_SOURCE, dtype=np.int64))
             all_branch.append(np.full(n_bg, BRANCH_VIBRONIC, dtype=np.uint8))
 
-    digest = scene.digest()
     if not all_times:
-        return PhotonStream.empty(duration, digest)
+        return PhotonStream.empty(duration)
     times = np.concatenate(all_times)
     order = np.lexsort((np.concatenate(all_src), times))
     return PhotonStream(times[order],
                         np.concatenate(all_freqs)[order],
                         np.concatenate(all_src)[order],
                         np.concatenate(all_branch)[order],
-                        duration, digest)
+                        duration)
 
 
 def _prune_dead_time(ticks: np.ndarray, min_separation: int) -> np.ndarray:

@@ -9,7 +9,6 @@ All types are immutable and all functions are pure.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -168,10 +167,6 @@ class SceneSpec:
         """Sub-scene containing only the molecule at the given list index."""
         return SceneSpec((self.molecules[index],), self.background_rate,
                          self.electrode, self.reference_wavelength)
-
-    def digest(self) -> str:
-        """Short stable hash of the scene content."""
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
 def split_two_source(scene: SceneSpec) -> tuple[SceneSpec, SceneSpec]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitConvergenceError, InsufficientDataError, PhysicsError
-from .model import (DetectionSpec, MoleculeSpec, SceneSpec, natural_linewidth,
-                    shifted_center)
+from .model import (DetectionSpec, MoleculeSpec, SceneSpec, lorentzian,
+                    natural_linewidth, shifted_center)
 
 _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -29,7 +29,6 @@ class Spectrum:
 
     axis: np.ndarray
     values: np.ndarray
-    kind: str = "excitation"
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=np.float64)
@@ -63,11 +62,11 @@ class ScanImage:
 
 def _peak_normalized_line(detuning: np.ndarray, lorentz_fwhm: float,
                           gauss_fwhm: float) -> np.ndarray:
-    gamma = 0.5 * lorentz_fwhm
     if gauss_fwhm <= 0:
-        return gamma * gamma / (gamma * gamma + np.square(detuning))
+        return lorentzian(detuning, lorentz_fwhm)
     from scipy.special import voigt_profile  # imported on use; see _fit_peak
     sigma = gauss_fwhm * _GAUSS_FWHM_TO_SIGMA
+    gamma = 0.5 * lorentz_fwhm
     profile = voigt_profile(detuning, sigma, gamma)
     return profile / voigt_profile(0.0, sigma, gamma)
 
@@ -94,7 +93,7 @@ def excitation_spectrum(scene: SceneSpec, axis, saturation_s: float = 0.0,
         fwhm = natural_linewidth(mol.lifetime_t1) * broadening
         values += (mol.zpl_branching * chain
                    * _peak_normalized_line(axis - center, fwhm, laser_linewidth))
-    return Spectrum(axis, values, kind="excitation")
+    return Spectrum(axis, values)
 
 
 def emission_spectrum(mol: MoleculeSpec, axis=None,
@@ -123,7 +122,7 @@ def emission_spectrum(mol: MoleculeSpec, axis=None,
     for f, w in lines:
         values += w / (sigma * math.sqrt(2 * math.pi)) * np.exp(
             -0.5 * np.square((axis - f) / sigma))
-    return Spectrum(axis, values, kind="emission")
+    return Spectrum(axis, values)
 
 
 @dataclass
@@ -189,7 +188,7 @@ def stark_scan(scene_a: SceneSpec, scene_b: SceneSpec, voltages, axis=None,
         spec_a = excitation_spectrum(scene_a, axis, saturation_s, laser_linewidth)
         spec_b = excitation_spectrum(scene_b.with_voltage(float(v)), axis,
                                      saturation_s, laser_linewidth)
-        row = Spectrum(np.asarray(axis), spec_a.values + spec_b.values, kind="stark-row")
+        row = Spectrum(np.asarray(axis), spec_a.values + spec_b.values)
         rows.append(row)
         separations.append(peak_separation(row))
     return rows, separations

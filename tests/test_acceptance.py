@@ -10,9 +10,10 @@ import sys
 import numpy as np
 from scipy import integrate
 
+from correlator_oracle import brute_force_coincidences
 from zplsim import (DetectionSpec, LaserSpec, MoleculeSpec, SceneSpec,
-                    apply_detection, brute_force_coincidences, confocal_scan,
-                    correlate, diffraction_fwhm, excitation_spectrum,
+                    apply_detection, confocal_scan, correlate,
+                    diffraction_fwhm, excitation_spectrum,
                     fit_antibunching, fit_gaussian, fit_lorentzian,
                     natural_linewidth, normalize_g2, pulsed_peak_ratio,
                     pump_for_excited_population, pump_rate, rate_budget,

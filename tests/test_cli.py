@@ -71,6 +71,11 @@ class TestSimulate:
                     "--out", tmp_path]) == 1
         assert "background_rte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", [".", "1e999 s"])
+    def test_bad_duration_exits_1(self, tmp_path, fig4a, duration):
+        assert run(["simulate", "--config", fig4a, "--duration", duration,
+                    "--out", tmp_path]) == 1
+
     def test_zero_duration_exits_2(self, tmp_path, fig4a):
         assert run(["simulate", "--config", fig4a, "--duration", "0 s",
                     "--out", tmp_path]) == 2
@@ -87,7 +92,20 @@ class TestCorrelate:
         assert lines[0] == "lag_s,counts,g2"
         assert len(lines) > 100
         fit = json.loads((out / "fit.json").read_text())
-        assert set(fit) >= {"g2_zero", "decay_time_s", "plateau", "degenerate"}
+        assert set(fit) == {"g2_zero", "decay_time_s", "g2_zero_error", "decay_time_error_s",
+                            "deviance_per_dof", "pairs", "underdetermined"}
+
+    def test_readme_example_flags_undetermined_decay(self, tmp_path, fig4a):
+        # ~35 pairs in 50 ms do not fix the decay time; the fit must say so
+        # and keep tau finite and within the lag window
+        sim, out = tmp_path / "sim", tmp_path / "corr"
+        assert run(["simulate", "--config", fig4a, "--duration", "50 ms",
+                    "--seed", 8, "--out", sim]) == 0
+        assert run(["correlate", "--tags", sim / "tags.ptag", "--bin-width", "250 ps",
+                    "--max-lag", "100 ns", "--out", out]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["underdetermined"] is True
+        assert 0 < fit["decay_time_s"] <= 100e-9
 
     def test_single_channel_rejected(self, tmp_path):
         csv = tmp_path / "tags.csv"
@@ -216,6 +234,7 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path, config_dir):
     commands = [
         ["--version"],
         ["simulate", "--config", fig4b, "--duration", "1 ms", "--out", sim],
+        ["correlate", "--tags", f"{sim}/tags.ptag", "--out", str(tmp_path / "g2")],
         ["pulsed-g2", "--tags", f"{sim}/tags.ptag", "--period", "263.16 ns",
          "--out", str(tmp_path / "pulsed")],
         ["hom", "--config", fig5a, "--pulses", "1000", "--out", str(tmp_path / "hom")],

@@ -26,6 +26,16 @@ class TestParseQuantity:
         with pytest.raises(ConfigError):
             parse_quantity("fast")
 
+    @pytest.mark.parametrize("text", ["1e999", "1e300 THz"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_quantity(text)
+
+    @pytest.mark.parametrize("text", [".", "-.", ". ns"])
+    def test_no_digit_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_quantity(text)
+
 
 def write_config(tmp_path, text):
     path = tmp_path / "scene.ini"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zplsim import (analytic_g2, brute_force_coincidences, correlate,
-                    fit_antibunching, normalize_g2, pulsed_peak_ratio)
+from correlator_oracle import brute_force_coincidences
+from zplsim import analytic_g2, correlate, fit_antibunching, normalize_g2, pulsed_peak_ratio
 from zplsim import correlator
 from zplsim.correlator import CorrelationHistogram
 
@@ -163,8 +163,6 @@ class TestFitAntibunching:
         fit = fit_antibunching(synth_histogram(g0, tau_d))
         assert fit.g2_zero == pytest.approx(g0, abs=1e-6)
         assert fit.decay_time_s == pytest.approx(tau_d, rel=1e-6)
-        assert fit.plateau == pytest.approx(1.0, rel=1e-6)
-        assert not fit.degenerate
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(21)
@@ -177,8 +175,29 @@ class TestFitAntibunching:
     def test_flat_input_degenerate(self):
         h = synth_histogram(1.0, 8.1e-9)  # g0 == plateau -> flat line
         fit = fit_antibunching(h)
-        assert fit.degenerate
+        assert fit.underdetermined
         assert fit.g2_zero == pytest.approx(1.0)
+        assert np.isfinite(fit.decay_time_s)
+
+    def test_no_pairs_gives_infinite_errors(self):
+        # zero counts carry no information: a singular Fisher matrix, no exception
+        fit = fit_antibunching(normalize_g2(correlate(np.array([]), np.array([]), 1e-9, 10e-9)))
+        assert fit.underdetermined and fit.pairs == 0
+        assert fit.g2_zero_error == np.inf and fit.decay_time_error_s == np.inf
+        assert np.isfinite(fit.g2_zero) and np.isfinite(fit.decay_time_s)
+
+    def test_poisson_counts_within_fisher_errors(self):
+        # 2000 expected counts per far-lag bin: the decay time is determined
+        h = synth_histogram(0.2, 8.1e-9)  # rates 1 Hz, so scale = duration * bin_width
+        scale = 2000.0
+        h.duration = scale / h.bin_width
+        h.bins = np.random.default_rng(4).poisson(h.bins * scale) / scale
+        fit = fit_antibunching(h)
+        assert not fit.underdetermined
+        assert fit.pairs == int(round(h.bins.sum() * scale))
+        assert abs(fit.g2_zero - 0.2) <= 5 * fit.g2_zero_error
+        assert abs(fit.decay_time_s - 8.1e-9) <= 5 * fit.decay_time_error_s
+        assert fit.deviance_per_dof == pytest.approx(1.0, abs=0.25)
 
     def test_requires_normalized(self):
         raw = correlate(np.array([0.0, 1.0]), np.array([0.5]), 0.1, 1.0)

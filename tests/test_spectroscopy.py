@@ -186,7 +186,7 @@ class TestPeakFits:
 
     def test_accepts_spectrum_object(self):
         x = np.linspace(-5, 5, 101)
-        spec = Spectrum(x, np.exp(-0.5 * x**2), kind="excitation")
+        spec = Spectrum(x, np.exp(-0.5 * x**2))
         assert fit_gaussian(spec).center == pytest.approx(0.0, abs=1e-9)
 
 
