@@ -36,6 +36,9 @@ from .spectroscopy import (confocal_scan, emission_spectrum, excitation_spectrum
 from .tagio import (atomic_write_text, read_tags, write_ptag, write_tags_csv,
                     write_truth_csv)
 
+#: most voltages a --sweep may hold
+MAX_SWEEP_POINTS = 10_000
+
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -45,8 +48,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: non-finite floats are written as null."""
+    text = json.dumps(_strict(payload), sort_keys=True, indent=2, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def _write_manifest(args, outdir, extra=None) -> None:
@@ -74,16 +90,10 @@ def _parse_sweep(text: str):
         raise ConfigError(f"invalid sweep range {text!r}")
     # floor, so the last point never passes stop; the tolerance keeps a stop
     # that float division lands just short of (0:0.3:0.1) in the sweep
-    n = math.floor((stop - start) / step * (1 + 1e-9))
-    return [start + i * step for i in range(n + 1)]
-
-
-def _hbt_times(tags, command: str):
-    """Detection times of channels 0 and 1, the two arms of the HBT setup."""
-    if not {0, 1} <= tags.channels.keys():
-        raise PhysicsError(f"{command} needs detection channels 0 and 1 (HBT data); "
-                           f"the tag file has channels {sorted(tags.channels)}")
-    return tags.channel_times(0), tags.channel_times(1)
+    steps = (stop - start) / step * (1 + 1e-9)
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _csv_lines(header, rows) -> str:
@@ -112,10 +122,9 @@ def _cmd_simulate(args, cfg, outdir) -> dict:
 
 def _cmd_correlate(args, cfg, outdir) -> dict:
     tags = read_tags(args.tags)
-    a, b = _hbt_times(tags, "correlate")
     bin_width = parse_quantity(args.bin_width)
     max_lag = parse_quantity(args.max_lag)
-    hist = correlate(a, b, bin_width, max_lag, duration=tags.duration)
+    hist = correlate(tags, bin_width, max_lag)
     g2 = normalize_g2(hist)
     rows = [(float(lag), int(c), float(v))
             for lag, c, v in zip(g2.lags, hist.bins, g2.bins)]
@@ -128,12 +137,15 @@ def _cmd_correlate(args, cfg, outdir) -> dict:
 
 def _cmd_pulsed_g2(args, cfg, outdir) -> dict:
     tags = read_tags(args.tags)
-    a, b = _hbt_times(tags, "pulsed-g2")
     period = parse_quantity(args.period)
     window = parse_quantity(args.window)
     bin_width = parse_quantity(args.bin_width)
-    max_lag = parse_quantity(args.max_lag) if args.max_lag else 4.5 * period
-    hist = correlate(a, b, bin_width, max_lag, duration=tags.duration)
+    if args.max_lag:
+        max_lag = parse_quantity(args.max_lag)
+    else:  # 4.5 periods, to the nearest whole tick
+        tick = tags.resolution_ps * 1e-12
+        max_lag = round(4.5 * period / tick) * tick
+    hist = correlate(tags, bin_width, max_lag)
     ratio = pulsed_peak_ratio(hist, period, window)
     _write_json(os.path.join(outdir, "ratio.json"), {
         "ratio": ratio, "period_s": period, "window_s": window,

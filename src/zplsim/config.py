@@ -72,7 +72,6 @@ def _mode(text: str) -> str:
 # per-section {key: converter}; converter raises ConfigError on bad values
 _SCENE_KEYS = {
     "background_rate": _number,
-    "reference_wavelength": lambda t: parse_quantity(t, 1e-9),
 }
 _MOLECULE_KEYS = {
     "position": _position,

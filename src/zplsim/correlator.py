@@ -1,9 +1,10 @@
 """Second-order correlation analysis of time-tag streams.
 
-``correlate`` counts every ordered tag pair within the lag window (full
-multi-start correlation, not start-stop) via sorted-merge windowing, in time
-O(N + matches) and memory O(N + _PAIR_CHUNK) whatever the lag window.  The
-center bin spans [-bin_width/2, +bin_width/2).
+``correlate`` counts every ordered (channel 0, channel 1) tag pair within the
+lag window (full multi-start correlation, not start-stop) by sorted-merge
+windowing, in time O(N + matches) and memory O(N + _PAIR_CHUNK).  In whole
+ticks, bin k of width w holds every lag l with ``(2l + w) // (2w) == k`` and
+``|l| <= max_lag``: the center bin spans [-w/2, +w/2) exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, PhysicsError
+from .kmc import TimeTagSet
 
 # pairs binned per block; bounds the per-block temporaries
 _PAIR_CHUNK = 1 << 18
@@ -21,7 +23,7 @@ _PAIR_CHUNK = 1 << 18
 
 @dataclass
 class CorrelationHistogram:
-    """Coincidence counts vs lag, with the metadata needed to normalize."""
+    """Coincidence counts vs lag, with the metadata needed to normalize (in seconds)."""
 
     bin_width: float
     max_lag: float
@@ -38,54 +40,52 @@ class CorrelationHistogram:
         return (np.arange(len(self.bins)) - half) * self.bin_width
 
 
-def _half_bins(max_lag: float, bin_width: float) -> int:
-    # smallest n with (n + 0.5) * bin_width > max_lag, so lag = +/-max_lag bins in range
-    n = int(math.floor(max_lag / bin_width + 0.5))
-    if (n + 0.5) * bin_width <= max_lag:
-        n += 1
-    return n
+def _tick_window(tags: TimeTagSet, bin_width: float, max_lag: float):
+    """Channels 0 and 1, and the bin width and lag window in whole ticks."""
+    if not {0, 1} <= tags.channels.keys():
+        raise PhysicsError("correlation needs detection channels 0 and 1 (HBT data); "
+                           f"the tag set has channels {sorted(tags.channels)}")
+    res = tags.resolution_ps
+    w, m = bin_width * 1e12 / res, max_lag * 1e12 / res
+    # lags are binned as 2 lag + w, so 2 max_lag + w must fit int64
+    if not (0 < w <= m and 2 * m + w < 2**63):
+        raise ValueError(f"bin_width {bin_width!r} s, max_lag {max_lag!r} s: need "
+                         f"0 < bin_width <= max_lag and 2 max_lag + bin_width below "
+                         f"2**63 ticks of {res} ps")
+    for name, ticks in (("bin_width", w), ("max_lag", m)):
+        if abs(ticks - round(ticks)) > 1e-9 * ticks:
+            raise ValueError(f"{name} is {ticks:.10g} ticks of {res} ps, not a whole number")
+    a, b = (np.asarray(tags.channels[c], dtype=np.int64) for c in (0, 1))
+    for c, t in enumerate((a, b)):
+        if len(t) > 1 and np.any(np.diff(t) < 0):
+            raise ValueError(f"channel {c} is not sorted ascending")
+    return a, b, round(w), round(m)
 
 
-def _check_inputs(a, b, bin_width, max_lag):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
-    if max_lag < bin_width:
-        raise ValueError("max_lag must be >= bin_width")
-    if len(a) > 1 and np.any(np.diff(a) < 0):
-        raise ValueError("channel a is not sorted ascending")
-    if len(b) > 1 and np.any(np.diff(b) < 0):
-        raise ValueError("channel b is not sorted ascending")
-    return a, b
+def _histogram(tags: TimeTagSet, bin_width: float, max_lag: float,
+               bins: np.ndarray) -> CorrelationHistogram:
+    """``bins`` with the channel 0 and 1 rates over the tag set's duration."""
+    duration = tags.duration_ps * 1e-12
+    rates = [len(tags.channels[c]) / duration if duration > 0 else 0.0 for c in (0, 1)]
+    return CorrelationHistogram(bin_width, max_lag, bins, *rates, duration)
 
 
-def _rates(a, b, duration):
-    if duration is None:
-        if len(a) and len(b):
-            duration = max(a[-1], b[-1]) - min(a[0], b[0])
-        else:
-            duration = 0.0
-    rate_a = len(a) / duration if duration > 0 else 0.0
-    rate_b = len(b) / duration if duration > 0 else 0.0
-    return rate_a, rate_b, float(duration)
+def correlate(tags: TimeTagSet, bin_width: float, max_lag: float) -> CorrelationHistogram:
+    """Histogram of lags t1 - t0 over all channel 0/1 pairs with |lag| <= max_lag.
 
-
-def correlate(a, b, bin_width: float, max_lag: float,
-              duration: float | None = None) -> CorrelationHistogram:
-    """Histogram of lags t_b - t_a over all pairs with |t_b - t_a| <= max_lag.
-
-    Inputs are per-channel detection times in seconds, sorted ascending.
-    Runs in O(N + matches) time using searchsorted windows.  Starts are
-    walked in blocks of at most ``_PAIR_CHUNK`` pairs (at least one start per
-    block), so memory is O(N + _PAIR_CHUNK) however long the lag window is.
+    ``bin_width`` and ``max_lag`` are in seconds and must be whole ticks of
+    the tag resolution.  Runs in O(N + matches) time using searchsorted
+    windows.  Starts are walked in blocks of at most ``_PAIR_CHUNK`` pairs
+    (at least one start per block), so memory is O(N + _PAIR_CHUNK) however
+    long the lag window is.
     """
-    a, b = _check_inputs(a, b, bin_width, max_lag)
-    n_half = _half_bins(max_lag, bin_width)
+    a, b, w, m = _tick_window(tags, bin_width, max_lag)
+    n_half = (2 * m + w) // (2 * w)  # the bin of lag +m: fewest n with (n + 1/2) w > m
     bins = np.zeros(2 * n_half + 1, dtype=np.int64)
 
-    lo = np.searchsorted(b, a - max_lag, side="left")
-    counts = np.searchsorted(b, a + max_lag, side="right") - lo
+    lo = np.searchsorted(b, a - m, side="left")
+    # a + m saturated at int64's maximum, which no tick exceeds
+    counts = np.searchsorted(b, np.minimum(a, 2**63 - 1 - m) + m, side="right") - lo
     ends = np.cumsum(counts)  # pairs of starts 0..i inclusive
     n_pairs = int(ends[-1]) if len(ends) else 0
     offsets = np.arange(min(n_pairs, _PAIR_CHUNK))
@@ -100,18 +100,17 @@ def correlate(a, b, bin_width: float, max_lag: float,
         # block, minus where its start's pairs begin in the block, plus lo
         pair_base = lo[first:last] - (ends[first:last] - block_counts - done)
         flat = off + np.repeat(pair_base, block_counts)
-        lags = b[flat]
-        lags -= np.repeat(a[first:last], block_counts)
-        lags /= bin_width
-        lags += 0.5
-        np.floor(lags, out=lags)
-        idx = lags.astype(np.int64)
+        idx = b[flat]
+        idx -= np.repeat(a[first:last], block_counts)
+        # (2 lag + w) // 2w is the bin, n_half the center's index
+        idx *= 2
+        idx += w
+        idx //= 2 * w
         idx += n_half
         bins += np.bincount(idx, minlength=len(bins))
         first, done = last, done + total
 
-    rate_a, rate_b, duration = _rates(a, b, duration)
-    return CorrelationHistogram(bin_width, max_lag, bins, rate_a, rate_b, duration)
+    return _histogram(tags, bin_width, max_lag, bins)
 
 
 def normalize_g2(h: CorrelationHistogram) -> CorrelationHistogram:

@@ -47,19 +47,12 @@ class PhotonStream:
 
 @dataclass
 class TimeTagSet:
-    """Per-channel detection times in integer units of ``resolution_ps``."""
+    """Per-channel int64 detection times in units of ``resolution_ps``, and
+    the record length in picoseconds, as the PTAG header stores both."""
 
     resolution_ps: int
     channels: dict[int, np.ndarray]
-    duration: float
-
-    @property
-    def duration_ticks(self) -> int:
-        return int(round(self.duration * 1e12 / self.resolution_ps))
-
-    def channel_times(self, channel: int) -> np.ndarray:
-        """Tags of one channel converted to seconds."""
-        return self.channels[channel].astype(np.float64) * (self.resolution_ps * 1e-12)
+    duration_ps: int
 
 
 def _emission_times_cw(rng, pump, k_vib, gamma, duration):
@@ -264,4 +257,4 @@ def apply_detection(photons: PhotonStream, det: DetectionSpec, split: str = "hbt
         channels[ch] = _prune_dead_time(ticks, dead_ticks)
 
     return TimeTagSet(resolution_ps=det.resolution, channels=channels,
-                      duration=photons.duration)
+                      duration_ps=int(round(photons.duration * 1e12)))

@@ -137,8 +137,12 @@ class DetectionSpec:
             raise PhysicsError("detection timing_jitter_sigma must be >= 0")
         if self.dead_time < 0:
             raise PhysicsError("detection dead_time must be >= 0")
-        if self.resolution < 1:
-            raise PhysicsError("detection resolution must be >= 1 ps")
+        # tags are int64 ticks; the PTAG header holds the resolution in a u64
+        if not 1 <= self.resolution < 2**63:
+            raise PhysicsError("detection resolution must be 1 ps to 2**63 - 1 ps")
+        if not self.dead_time * 1e12 / self.resolution < 2**63:
+            raise PhysicsError(f"detection dead_time {self.dead_time!r} s is not below "
+                               f"2**63 ticks of {self.resolution} ps")
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,6 @@ class SceneSpec:
     molecules: tuple[MoleculeSpec, ...] = ()
     background_rate: float = 0.0
     electrode: ElectrodeSpec = field(default_factory=ElectrodeSpec)
-    reference_wavelength: float = 590.0  # nm
 
     def __post_init__(self):
         object.__setattr__(self, "molecules", tuple(self.molecules))
@@ -161,12 +164,11 @@ class SceneSpec:
     def with_voltage(self, voltage: float) -> "SceneSpec":
         """Copy of the scene with the electrode voltage replaced."""
         el = ElectrodeSpec(self.electrode.gap, voltage, self.electrode.max_voltage)
-        return SceneSpec(self.molecules, self.background_rate, el, self.reference_wavelength)
+        return SceneSpec(self.molecules, self.background_rate, el)
 
     def single_molecule(self, index: int) -> "SceneSpec":
         """Sub-scene containing only the molecule at the given list index."""
-        return SceneSpec((self.molecules[index],), self.background_rate,
-                         self.electrode, self.reference_wavelength)
+        return SceneSpec((self.molecules[index],), self.background_rate, self.electrode)
 
 
 def split_two_source(scene: SceneSpec) -> tuple[SceneSpec, SceneSpec]:

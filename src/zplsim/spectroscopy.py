@@ -184,8 +184,8 @@ def stark_scan(scene_a: SceneSpec, scene_b: SceneSpec, voltages, axis=None,
     if axis is None:
         axis = np.linspace(-400.0e6, 400.0e6, 801)
     rows, separations = [], []
+    spec_a = excitation_spectrum(scene_a, axis, saturation_s, laser_linewidth)
     for v in voltages:
-        spec_a = excitation_spectrum(scene_a, axis, saturation_s, laser_linewidth)
         spec_b = excitation_spectrum(scene_b.with_voltage(float(v)), axis,
                                      saturation_s, laser_linewidth)
         row = Spectrum(np.asarray(axis), spec_a.values + spec_b.values)
@@ -227,13 +227,12 @@ def confocal_scan(scene: SceneSpec, psf_fwhm_nm: float, grid: tuple[int, int],
 
 @dataclass
 class PeakFit:
-    """Least-squares peak parameters with the fit residual norm."""
+    """Least-squares peak parameters."""
 
     center: float
     fwhm: float
     amplitude: float
     offset: float
-    residual_norm: float
 
 
 def _fit_peak(x, y, shape: str) -> PeakFit:
@@ -272,8 +271,7 @@ def _fit_peak(x, y, shape: str) -> PeakFit:
     fwhm = abs(fwhm)
     if fwhm > 10 * span:
         raise InsufficientDataError("samples do not span the fitted peak width")
-    residual = float(np.linalg.norm(y - model(x, *popt)))
-    return PeakFit(center, fwhm, amp, offset, residual)
+    return PeakFit(center, fwhm, amp, offset)
 
 
 def fit_lorentzian(x, y=None) -> PeakFit:

@@ -72,10 +72,9 @@ def ptag_bytes(tagset: TimeTagSet, path="<PTAG bytes>") -> bytes:
     records = np.empty(len(ts), dtype=_RECORD_DTYPE)
     records["channel"] = ch
     records["timestamp"] = ts
-    duration_ps = int(round(tagset.duration * 1e12))
     n_channels = chans[-1] + 1 if chans else 0
     header = PTAG_MAGIC + _HEADER.pack(PTAG_VERSION, tagset.resolution_ps,
-                                       duration_ps, n_channels)
+                                       tagset.duration_ps, n_channels)
     return header + records.tobytes()
 
 
@@ -118,7 +117,7 @@ def read_ptag(path) -> TimeTagSet:
                                f"below 2**63 (record {i})")
     channels = {c: ts[ch == c] for c in range(n_channels)}
     return TimeTagSet(resolution_ps=int(resolution_ps), channels=channels,
-                      duration=duration_ps * 1e-12)
+                      duration_ps=int(duration_ps))
 
 
 def tags_csv_text(tagset: TimeTagSet) -> str:
@@ -134,7 +133,9 @@ def write_tags_csv(tagset: TimeTagSet, path) -> None:
     atomic_write_text(path, tags_csv_text(tagset))
 
 
-def read_tags_csv(path, resolution_ps: int = 1, duration: float = 0.0) -> TimeTagSet:
+def read_tags_csv(path) -> TimeTagSet:
+    """Tags of a ``channel,time_ps`` CSV as 1 ps ticks; the duration is the
+    last tag's time."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     except ValueError as exc:
@@ -142,14 +143,13 @@ def read_tags_csv(path, resolution_ps: int = 1, duration: float = 0.0) -> TimeTa
     if data.size and data.shape[1] != 2:
         raise TagFileError(f"{path}: expected 2 columns (channel,time_ps), "
                            f"got {data.shape[1]}")
-    channels: dict[int, np.ndarray] = {}
+    channels, duration_ps = {}, 0
     if data.size:
-        for c in np.unique(data[:, 0]):
-            time_ps = data[data[:, 0] == c, 1]
-            channels[int(c)] = time_ps // resolution_ps
-    if duration <= 0 and data.size:
-        duration = float(data[:, 1].max()) * 1e-12
-    return TimeTagSet(resolution_ps=resolution_ps, channels=channels, duration=duration)
+        if data[:, 1].min() < 0:
+            raise TagFileError(f"{path}: negative time_ps {int(data[:, 1].min())}")
+        channels = {int(c): data[data[:, 0] == c, 1] for c in np.unique(data[:, 0])}
+        duration_ps = int(data[:, 1].max())
+    return TimeTagSet(resolution_ps=1, channels=channels, duration_ps=duration_ps)
 
 
 def read_tags(path) -> TimeTagSet:

@@ -22,6 +22,7 @@ from zplsim import (DetectionSpec, LaserSpec, MoleculeSpec, SceneSpec,
                     stark_scan, steady_state)
 from zplsim.cli import main as cli_main
 from zplsim.config import load_config
+from zplsim.kmc import TimeTagSet
 
 GAMMA = 1 / 9.4e-9
 PUMP_81 = 1 / 8.1e-9 - GAMMA
@@ -39,8 +40,7 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 def hbt_g2(scene, laser, duration, seed, bin_width=250e-12, max_lag=100e-9):
     photons = simulate_stream(scene, laser, duration, seed)
     tags = apply_detection(photons, CLEAN_DETECTION, split="hbt", seed=seed)
-    hist = correlate(tags.channel_times(0), tags.channel_times(1),
-                     bin_width, max_lag, duration=duration)
+    hist = correlate(tags, bin_width, max_lag)
     n_detected = sum(len(c) for c in tags.channels.values())
     return normalize_g2(hist), n_detected
 
@@ -93,9 +93,8 @@ def test_criterion_04_pulsed_peak_ratio(config_dir):
     def ratio_for(scene, laser, seed):
         photons = simulate_stream(scene, laser, duration, seed)
         tags = apply_detection(photons, CLEAN_DETECTION, split="hbt", seed=seed)
-        hist = correlate(tags.channel_times(0), tags.channel_times(1),
-                         bin_width=1e-9, max_lag=4.5 * laser.pulse_period,
-                         duration=duration)
+        # 4.5 periods to the nearest whole 1 ps tick
+        hist = correlate(tags, bin_width=1e-9, max_lag=round(4.5 * laser.pulse_period, 12))
         return pulsed_peak_ratio(hist, laser.pulse_period, 100e-9)
 
     ratio = ratio_for(cfg.scene, cfg.laser, seed=104)
@@ -112,12 +111,13 @@ def test_criterion_05_correlator_oracle():
         rng = np.random.default_rng(seed)
         n_a = int(rng.integers(0, 300))
         n_b = int(rng.integers(0, 300))
-        a = np.sort(rng.random(n_a) * 1e-4)
-        b = np.sort(rng.random(n_b) * 1e-4)
-        bw = float(rng.uniform(0.5e-9, 5e-9))
-        lag = bw * float(rng.uniform(5, 50))
-        fast = correlate(a, b, bw, lag)
-        slow = brute_force_coincidences(a, b, bw, lag)
+        # 1 ps ticks over 100 us, bins of 0.5-5 ns, windows of 5-50 bins
+        tags = TimeTagSet(1, {0: np.sort(rng.integers(0, 10**8, n_a)),
+                              1: np.sort(rng.integers(0, 10**8, n_b))}, 10**8)
+        bw = int(rng.integers(500, 5001))
+        lag = round(bw * float(rng.uniform(5, 50)))
+        fast = correlate(tags, bw * 1e-12, lag * 1e-12)
+        slow = brute_force_coincidences(tags, bw * 1e-12, lag * 1e-12)
         if not np.array_equal(fast.bins, slow.bins):
             ok = False
             detail = f"mismatch at seed {seed}"

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zplsim
 from zplsim.cli import _parse_sweep, main
+from zplsim.errors import ConfigError
+from zplsim.kmc import TimeTagSet
+from zplsim.tagio import write_ptag
 
 
 def run(argv):
@@ -76,6 +80,17 @@ class TestSimulate:
         assert run(["simulate", "--config", fig4a, "--duration", duration,
                     "--out", tmp_path]) == 1
 
+    @pytest.mark.parametrize("line", ["resolution = 1e30 ps", "dead_time = 1e300"])
+    def test_tick_count_beyond_int64_exits_2(self, tmp_path, fig4a, line, capsys):
+        # a tick count int64 cannot hold is a physics error, not a traceback
+        key = line.split()[0]
+        text = Path(fig4a).read_text().splitlines()
+        bad = tmp_path / "bad.ini"
+        bad.write_text("\n".join(line if t.startswith(key) else t for t in text))
+        assert run(["simulate", "--config", bad, "--duration", "1 ms",
+                    "--out", tmp_path / "out"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_zero_duration_exits_2(self, tmp_path, fig4a):
         assert run(["simulate", "--config", fig4a, "--duration", "0 s",
                     "--out", tmp_path]) == 2
@@ -111,6 +126,14 @@ class TestCorrelate:
         csv = tmp_path / "tags.csv"
         csv.write_text("channel,time_ps\n0,100\n0,200\n")
         assert run(["correlate", "--tags", csv, "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("flags", [["--bin-width", "0.5 ps"], ["--max-lag", "1000.5 ps"],
+                                       ["--max-lag", "1e300"]])
+    def test_window_not_whole_ticks_exits_2(self, tmp_path, capsys, flags):
+        csv = tmp_path / "tags.csv"
+        csv.write_text("channel,time_ps\n0,100\n1,200\n")
+        assert run(["correlate", "--tags", csv, *flags, "--out", tmp_path / "out"]) == 2
+        assert "1 ps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["correlate"], ["pulsed-g2", "--period", "100 ns"]])
     def test_channels_without_0_rejected(self, tmp_path, capsys, command):
@@ -151,6 +174,32 @@ class TestHom:
         voltages = _parse_sweep(sweep)
         assert len(voltages) == n
         assert voltages[-1] == pytest.approx(last)
+
+    def test_sweep_point_count_bounded(self):
+        # imported first, so code without the bound never parses 0:1e12:1
+        from zplsim.cli import MAX_SWEEP_POINTS
+        assert len(_parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+        for sweep in (f"0:{MAX_SWEEP_POINTS}:1", "0:1e12:1"):
+            with pytest.raises(ConfigError, match="points"):
+                _parse_sweep(sweep)
+
+
+def test_json_artifacts_are_strict(tmp_path, fig5a):
+    # non-finite floats are written as null, never as NaN or Infinity
+    def strict(path):
+        def reject(constant):
+            raise ValueError(f"{path.name} holds {constant}")
+        return json.loads(path.read_text(), parse_constant=reject)
+
+    tags = tmp_path / "tags.ptag"  # channel 1 declared but empty: no pairs, no rate
+    write_ptag(TimeTagSet(1, {0: np.array([5]), 1: np.array([], dtype=np.int64)}, 1000),
+               tags)
+    assert run(["correlate", "--tags", tags, "--out", tmp_path / "g2"]) == 0
+    fit = strict(tmp_path / "g2" / "fit.json")
+    assert fit["pairs"] == 0 and fit["g2_zero_error"] is None
+    assert run(["hom", "--config", fig5a, "--pulses", 1, "--out", tmp_path / "hom"]) == 0
+    hom = strict(tmp_path / "hom" / "hom.json")
+    assert hom["both_emitted"] == 0 and hom["p_estimate"] is None
 
 
 class TestSpectrumStarkScanBudget:

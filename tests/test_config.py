@@ -46,7 +46,6 @@ def write_config(tmp_path, text):
 MINIMAL = """
 [scene]
 background_rate = 100
-reference_wavelength = 590 nm
 
 [molecule.3]
 position = 1.0 um, 2.5 um
@@ -88,7 +87,6 @@ class TestLoadConfig:
         assert mol.zpl_center == pytest.approx(180e6)
         assert mol.lifetime_t1 == pytest.approx(9.4e-9)
         assert cfg.scene.background_rate == 100.0
-        assert cfg.scene.reference_wavelength == pytest.approx(590.0)
         assert cfg.laser.mode == "pulsed"
         assert cfg.laser.pulse_divider == 20
         assert cfg.laser.pulse_period == pytest.approx(20 / 76e6)
