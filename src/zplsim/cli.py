@@ -7,8 +7,8 @@ violation, 3 I/O failure, 4 malformed tag file (truncated PTAG records,
 channel ids outside the header's count, decreasing timestamps, unparsable
 CSV) or tags the PTAG layout cannot hold.
 
-Only the commands that fit peaks or evaluate Voigt lines (``stark``, ``scan``,
-``spectrum``) import scipy; the others run on numpy alone.
+Only ``stark`` and ``spectrum`` import scipy, and only for the Voigt line of
+a laser with a linewidth; every fit runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -66,12 +66,9 @@ def _write_json(path, payload) -> None:
 
 
 def _write_manifest(args, outdir, extra=None) -> None:
-    manifest = {
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "inputs": {},
-    }
+    manifest = {"command": args.command, "version": __version__, "inputs": {}}
+    if "seed" in args:
+        manifest["seed"] = args.seed
     for attr in ("config", "tags"):
         path = getattr(args, attr, None)
         if path:
@@ -125,12 +122,11 @@ def _cmd_correlate(args, cfg, outdir) -> dict:
     bin_width = parse_quantity(args.bin_width)
     max_lag = parse_quantity(args.max_lag)
     hist = correlate(tags, bin_width, max_lag)
-    g2 = normalize_g2(hist)
     rows = [(float(lag), int(c), float(v))
-            for lag, c, v in zip(g2.lags, hist.bins, g2.bins)]
+            for lag, c, v in zip(hist.lags, hist.bins, normalize_g2(hist))]
     atomic_write_text(os.path.join(outdir, "histogram.csv"),
                       _csv_lines("lag_s,counts,g2", rows))
-    fit = fit_antibunching(g2)
+    fit = fit_antibunching(hist)
     _write_json(os.path.join(outdir, "fit.json"), dataclasses.asdict(fit))
     return {"bin_width_s": bin_width, "max_lag_s": max_lag}
 
@@ -162,16 +158,16 @@ def _cmd_hom(args, cfg, outdir) -> dict:
         rows = [(r.voltage_b, r.p_estimate, r.p_error) for r in results]
         atomic_write_text(os.path.join(outdir, "hom_sweep.csv"),
                           _csv_lines("voltage,p_estimate,p_error", rows))
-    else:
-        r = simulate_hom(scene_a, scene_b, cfg.laser, args.pulses,
-                         scene_a.electrode.voltage, args.voltage, args.seed)
-        _write_json(os.path.join(outdir, "hom.json"), {
-            "n_pulses": r.n_pulses, "both_emitted": r.both_emitted,
-            "singles": r.singles, "coincidences": r.coincidences,
-            "p_estimate": r.p_estimate, "p_error": r.p_error,
-            "voltage": r.voltage_b,
-        })
-    return {"pulses": args.pulses, "voltage": args.voltage, "sweep": args.sweep}
+        return {"pulses": args.pulses, "sweep": args.sweep}
+    r = simulate_hom(scene_a, scene_b, cfg.laser, args.pulses,
+                     scene_a.electrode.voltage, args.voltage, args.seed)
+    _write_json(os.path.join(outdir, "hom.json"), {
+        "n_pulses": r.n_pulses, "both_emitted": r.both_emitted,
+        "singles": r.singles, "coincidences": r.coincidences,
+        "p_estimate": r.p_estimate, "p_error": r.p_error,
+        "voltage": r.voltage_b,
+    })
+    return {"pulses": args.pulses, "voltage": args.voltage}
 
 
 def _cmd_spectrum(args, cfg, outdir) -> dict:
@@ -254,14 +250,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed=False):
         if config:
             p.add_argument("--config", required=True, help="INI scene configuration")
-        p.add_argument("--seed", type=int, default=1)
+        if seed:  # only commands that draw random numbers take a seed
+            p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("simulate", help="generate time tags and a truth dump")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--duration", required=True, help="e.g. '0.1 s' or seconds")
     p.add_argument("--format", choices=("csv", "bin"), default="bin")
     p.set_defaults(func=_cmd_simulate)
@@ -283,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pulsed_g2)
 
     p = sub.add_parser("hom", help="two-source interference Monte Carlo")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--pulses", type=int, default=100_000)
     p.add_argument("--voltage", type=float, default=0.0,
                    help="voltage on microscope B")
@@ -306,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stark)
 
     p = sub.add_parser("scan", help="confocal image plus Gaussian fit")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--psf-fwhm", type=float, default=330.0, help="nm")
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--pitch", type=float, default=0.05, help="um")

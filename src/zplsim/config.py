@@ -47,10 +47,6 @@ def parse_quantity(text: str, field_unit_si: float = 1.0) -> float:
     return value
 
 
-def _number(text: str) -> float:
-    return parse_quantity(text, 1.0)
-
-
 def _integer(text: str) -> int:
     v = float(text)
     if v != int(v):
@@ -65,58 +61,54 @@ def _position(text: str) -> tuple[float, float]:
     return (parse_quantity(parts[0], 1e-6), parse_quantity(parts[1], 1e-6))
 
 
-def _mode(text: str) -> str:
-    return text.strip()
-
-
-# per-section {key: converter}; converter raises ConfigError on bad values
-_SCENE_KEYS = {
-    "background_rate": _number,
-}
-_MOLECULE_KEYS = {
-    "position": _position,
-    "zpl_center": _number,
-    "lifetime_t1": _number,
-    "zpl_branching": _number,
-    "vibronic_offset": _number,
-    "vibronic_fwhm": _number,
-    "stark_linear": _number,
-    "stark_quadratic": _number,
-    "polarization_angle": _number,
-}
-_LASER_KEYS = {
-    "mode": _mode,
-    "frequency": _number,
-    "cw_peak_pump_rate": _number,
-    "laser_linewidth": _number,
-    "pulse_width": _number,
-    "pulse_rep_rate": _number,
-    "pulse_divider": _integer,
-    "pulse_peak_pump_rate": _number,
-}
-_DETECTION_KEYS = {
-    "collection_efficiency": _number,
-    "zpl_filter_transmission": _number,
-    "vibronic_filter_transmission": _number,
-    "fiber_coupling": _number,
-    "dark_count_rate": _number,
-    "timing_jitter_sigma": _number,
-    "dead_time": _number,
-    "resolution": lambda t: _integer_ps(t),
-}
-_ELECTRODE_KEYS = {
-    "gap": _number,
-    "voltage": _number,
-    "max_voltage": _number,
-}
-
-
 def _integer_ps(text: str) -> int:
     v = parse_quantity(text, 1e-12)
     iv = int(round(v))
     if abs(v - iv) > 1e-9:
         raise ConfigError(f"resolution must be an integer number of ps, got {text!r}")
     return iv
+
+
+# per-section {key: converter}; converter raises ConfigError on bad values
+_SCENE_KEYS = {
+    "background_rate": parse_quantity,
+}
+_MOLECULE_KEYS = {
+    "position": _position,
+    "zpl_center": parse_quantity,
+    "lifetime_t1": parse_quantity,
+    "zpl_branching": parse_quantity,
+    "vibronic_offset": parse_quantity,
+    "vibronic_fwhm": parse_quantity,
+    "stark_linear": parse_quantity,
+    "stark_quadratic": parse_quantity,
+    "polarization_angle": parse_quantity,
+}
+_LASER_KEYS = {
+    "mode": str.strip,
+    "frequency": parse_quantity,
+    "cw_peak_pump_rate": parse_quantity,
+    "laser_linewidth": parse_quantity,
+    "pulse_width": parse_quantity,
+    "pulse_rep_rate": parse_quantity,
+    "pulse_divider": _integer,
+    "pulse_peak_pump_rate": parse_quantity,
+}
+_DETECTION_KEYS = {
+    "collection_efficiency": parse_quantity,
+    "zpl_filter_transmission": parse_quantity,
+    "vibronic_filter_transmission": parse_quantity,
+    "fiber_coupling": parse_quantity,
+    "dark_count_rate": parse_quantity,
+    "timing_jitter_sigma": parse_quantity,
+    "dead_time": parse_quantity,
+    "resolution": _integer_ps,
+}
+_ELECTRODE_KEYS = {
+    "gap": parse_quantity,
+    "voltage": parse_quantity,
+    "max_voltage": parse_quantity,
+}
 
 
 @dataclass(frozen=True)

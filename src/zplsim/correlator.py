@@ -10,15 +10,19 @@ ticks, bin k of width w holds every lag l with ``(2l + w) // (2w) == k`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, PhysicsError
+from .fitting import fisher_scoring
 from .kmc import TimeTagSet
 
 # pairs binned per block; bounds the per-block temporaries
 _PAIR_CHUNK = 1 << 18
+
+#: most bins a histogram may hold (128 MiB of int64 counts)
+MAX_BINS = 2**24
 
 
 @dataclass
@@ -31,7 +35,6 @@ class CorrelationHistogram:
     rate_a: float
     rate_b: float
     duration: float
-    normalized: bool = False
 
     @property
     def lags(self) -> np.ndarray:
@@ -39,9 +42,15 @@ class CorrelationHistogram:
         half = (len(self.bins) - 1) // 2
         return (np.arange(len(self.bins)) - half) * self.bin_width
 
+    @property
+    def scale(self) -> float:
+        """Counts per bin of uncorrelated streams: rate_a * rate_b * duration * bin_width."""
+        return self.rate_a * self.rate_b * self.duration * self.bin_width
+
 
 def _tick_window(tags: TimeTagSet, bin_width: float, max_lag: float):
-    """Channels 0 and 1, and the bin width and lag window in whole ticks."""
+    """Channels 0 and 1, the bin width and lag window in whole ticks, and the
+    index of the bin that holds lag +max_lag."""
     if not {0, 1} <= tags.channels.keys():
         raise PhysicsError("correlation needs detection channels 0 and 1 (HBT data); "
                            f"the tag set has channels {sorted(tags.channels)}")
@@ -55,11 +64,16 @@ def _tick_window(tags: TimeTagSet, bin_width: float, max_lag: float):
     for name, ticks in (("bin_width", w), ("max_lag", m)):
         if abs(ticks - round(ticks)) > 1e-9 * ticks:
             raise ValueError(f"{name} is {ticks:.10g} ticks of {res} ps, not a whole number")
+    w, m = round(w), round(m)
+    n_half = (2 * m + w) // (2 * w)  # fewest n with (n + 1/2) w > m
+    if 2 * n_half + 1 > MAX_BINS:
+        raise ValueError(f"bin_width {bin_width!r} s and max_lag {max_lag!r} s make "
+                         f"{2 * n_half + 1} bins, more than {MAX_BINS}")
     a, b = (np.asarray(tags.channels[c], dtype=np.int64) for c in (0, 1))
     for c, t in enumerate((a, b)):
         if len(t) > 1 and np.any(np.diff(t) < 0):
             raise ValueError(f"channel {c} is not sorted ascending")
-    return a, b, round(w), round(m)
+    return a, b, w, m, n_half
 
 
 def _histogram(tags: TimeTagSet, bin_width: float, max_lag: float,
@@ -79,8 +93,7 @@ def correlate(tags: TimeTagSet, bin_width: float, max_lag: float) -> Correlation
     (at least one start per block), so memory is O(N + _PAIR_CHUNK) however
     long the lag window is.
     """
-    a, b, w, m = _tick_window(tags, bin_width, max_lag)
-    n_half = (2 * m + w) // (2 * w)  # the bin of lag +m: fewest n with (n + 1/2) w > m
+    a, b, w, m, n_half = _tick_window(tags, bin_width, max_lag)
     bins = np.zeros(2 * n_half + 1, dtype=np.int64)
 
     lo = np.searchsorted(b, a - m, side="left")
@@ -113,21 +126,17 @@ def correlate(tags: TimeTagSet, bin_width: float, max_lag: float) -> Correlation
     return _histogram(tags, bin_width, max_lag, bins)
 
 
-def normalize_g2(h: CorrelationHistogram) -> CorrelationHistogram:
-    """Divide counts by rate_a * rate_b * duration * bin_width.
+def normalize_g2(h: CorrelationHistogram) -> np.ndarray:
+    """g2 per bin: the counts divided by ``h.scale``.
 
     The far-lag plateau of uncorrelated Poisson streams then averages to 1.
     """
-    if h.normalized:
-        raise ValueError("histogram is already normalized")
-    factor = h.rate_a * h.rate_b * h.duration * h.bin_width
-    if factor <= 0:
-        if np.any(h.bins):
-            raise ValueError("cannot normalize: rates and duration must be set")
-        values = h.bins.astype(np.float64)
-    else:
-        values = h.bins.astype(np.float64) / factor
-    return replace(h, bins=values, normalized=True)
+    values = h.bins.astype(np.float64)
+    if h.scale > 0:
+        return values / h.scale
+    if np.any(h.bins):
+        raise ValueError("cannot normalize: rates and duration must be set")
+    return values
 
 
 @dataclass
@@ -149,23 +158,19 @@ class AntibunchingFit:
 
 
 def fit_antibunching(h: CorrelationHistogram) -> AntibunchingFit:
-    """Maximum-likelihood antibunching fit of a normalized g2 histogram.
+    """Maximum-likelihood antibunching fit of a coincidence-count histogram.
 
-    The counts, bins * S with S = rate_a * rate_b * duration * bin_width
-    (what ``normalize_g2`` divides by), are Poisson with mean
-    mu = S * (1 - (1 - g0) * exp(-|lag|/tau)); the plateau is fixed at 1.
-    g0 >= 0 and bin_width/64 <= tau <= max |lag| minimize the Poisson
-    deviance by Fisher scoring in (g0, log tau) with step halving (Baker &
-    Cousins, NIM 221, 437 (1984)).
+    The counts are Poisson with mean mu = S * (1 - (1 - g0) * exp(-|lag|/tau)),
+    S = ``h.scale``; the plateau is fixed at 1.  g0 >= 0 and
+    bin_width/64 <= tau <= max |lag| minimize the Poisson deviance by
+    ``fisher_scoring`` in (g0, log tau).
     A singular Fisher information gives infinite errors.
     """
-    if not h.normalized:
-        raise ValueError("fit_antibunching needs a normalized histogram")
     if len(h.bins) < 5:
         raise InsufficientDataError("need at least 5 bins")
-    scale = h.rate_a * h.rate_b * h.duration * h.bin_width
+    scale = h.scale
     x = np.abs(h.lags)
-    n = np.asarray(h.bins, dtype=np.float64) * scale
+    n = np.asarray(h.bins, dtype=np.float64)
     # below bin_width/64 exp(-|lag|/tau) < 1e-27 at every lag but 0: the
     # model no longer changes, so that is where log(tau) stops
     lower = np.array([0.0, math.log(h.bin_width / 64)])
@@ -182,28 +187,8 @@ def fit_antibunching(h: CorrelationHistogram) -> AntibunchingFit:
         w = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0)
         return float(deviance), (jac.T * w) @ jac, jac.T @ ((n - mu) * w)
 
-    theta = np.array([0.5, 0.5 * (math.log(h.bin_width) + upper[1])])
-    deviance, info, score = evaluate(theta)
-    for _ in range(100):
-        # a parameter on a bound whose score points outward stays there
-        free = ~(((theta <= lower) & (score < 0)) | ((theta >= upper) & (score > 0)))
-        step = np.zeros(2)
-        try:
-            step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
-        except np.linalg.LinAlgError:
-            break
-        for _ in range(40):  # step halving
-            trial = np.clip(theta + step, lower, upper)
-            trial_fit = evaluate(trial)
-            if trial_fit[0] <= deviance:
-                break
-            step /= 2.0
-        else:
-            break
-        moved = np.abs(trial - theta).max()
-        theta, (deviance, info, score) = trial, trial_fit
-        if moved < 1e-10:
-            break
+    start = [0.5, 0.5 * (math.log(h.bin_width) + upper[1])]
+    theta, (deviance, info, _), _ = fisher_scoring(evaluate, start, lower, upper)
 
     tau = math.exp(theta[1])
     try:
@@ -222,8 +207,6 @@ def pulsed_peak_ratio(h: CorrelationHistogram, period: float, window: float) -> 
     Areas are integrated over +/- window/2 around lag 0 and around every
     multiple of the pulse period fully contained in the histogram.
     """
-    if h.normalized:
-        raise ValueError("pulsed_peak_ratio needs raw counts")
     if not period > window > 0:
         raise ValueError("need period > window > 0")
     lags = h.lags

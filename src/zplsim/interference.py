@@ -96,8 +96,7 @@ class HomResult:
 
 def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
                  n_pulses: int, voltage_a: float, voltage_b: float,
-                 seed: int | np.random.SeedSequence,
-                 k_vib: float = DEFAULT_K_VIB) -> HomResult:
+                 seed: int | np.random.SeedSequence) -> HomResult:
     """Monte Carlo HOM experiment between one molecule in each microscope.
 
     Per pulse each source independently emits at most one ZPL photon; when
@@ -137,8 +136,8 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     if n_both == 0:
         return HomResult(n_pulses, 0, singles, 0, math.nan, math.nan, voltage_b)
 
-    t_a = start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, k_vib)
-    t_b = start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, k_vib)
+    t_a = start_times(rng_a, u_a[both], pump_a, mol_a.zpl_branching, DEFAULT_K_VIB)
+    t_b = start_times(rng_b, u_b[both], pump_b, mol_b.zpl_branching, DEFAULT_K_VIB)
     overlap = mode_overlap(gamma_a, gamma_b, t_a, t_b, TWO_PI * (carrier_b - carrier_a))
     mismatch = mol_a.polarization_angle - mol_b.polarization_angle
     if mismatch:
@@ -153,8 +152,7 @@ def simulate_hom(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
 
 
 def hom_sweep(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
-              n_pulses: int, voltages, seed: int,
-              k_vib: float = DEFAULT_K_VIB) -> list[HomResult]:
+              n_pulses: int, voltages, seed: int) -> list[HomResult]:
     """Voltage sweep applied to microscope B; one independent run per point.
 
     Point ``i`` draws from child ``i`` of ``SeedSequence(seed)``, so no point
@@ -163,5 +161,5 @@ def hom_sweep(scene_a: SceneSpec, scene_b: SceneSpec, laser: LaserSpec,
     voltages = list(voltages)
     points = np.random.SeedSequence(seed).spawn(len(voltages))
     return [simulate_hom(scene_a, scene_b, laser, n_pulses,
-                         scene_a.electrode.voltage, float(v), point, k_vib)
+                         scene_a.electrode.voltage, float(v), point)
             for v, point in zip(voltages, points)]

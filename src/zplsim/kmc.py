@@ -141,7 +141,7 @@ def _emission_times_pulsed(rng, pump, k_vib, gamma, duration, period, width):
 
 
 def simulate_stream(scene: SceneSpec, laser: LaserSpec, duration: float,
-                    seed: int, k_vib: float = DEFAULT_K_VIB) -> PhotonStream:
+                    seed: int) -> PhotonStream:
     """Generate the ground-truth photon stream of a scene.
 
     Molecules are independent; background photons are a Poisson process
@@ -159,10 +159,10 @@ def simulate_stream(scene: SceneSpec, laser: LaserSpec, duration: float,
         pump = pump_rate(mol, laser, scene.electrode)
         gamma = 1.0 / mol.lifetime_t1
         if laser.mode == "pulsed":
-            times = _emission_times_pulsed(rng, pump, k_vib, gamma, duration,
+            times = _emission_times_pulsed(rng, pump, DEFAULT_K_VIB, gamma, duration,
                                            laser.pulse_period, laser.pulse_width)
         else:
-            times = _emission_times_cw(rng, pump, k_vib, gamma, duration)
+            times = _emission_times_cw(rng, pump, DEFAULT_K_VIB, gamma, duration)
         n = len(times)
         if n == 0:
             continue

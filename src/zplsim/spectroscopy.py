@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitConvergenceError, InsufficientDataError, PhysicsError
+from .fitting import fisher_scoring
 from .model import (DetectionSpec, MoleculeSpec, SceneSpec, lorentzian,
                     natural_linewidth, shifted_center)
 
@@ -21,6 +22,9 @@ _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 #: Placeholder red-shifted vibronic emission lines as (offset_hz, relative
 #: weight); the real positions are sample-specific and not modeled.
 DEFAULT_VIBRONIC_LINES = ((-7.5e12, 0.40), (-16.0e12, 0.35), (-37.0e12, 0.25))
+
+#: Gaussian FWHM (Hz) of the spectrometer an emission spectrum is rendered at
+SPECTROMETER_FWHM = 200.0e9
 
 
 @dataclass
@@ -64,7 +68,9 @@ def _peak_normalized_line(detuning: np.ndarray, lorentz_fwhm: float,
                           gauss_fwhm: float) -> np.ndarray:
     if gauss_fwhm <= 0:
         return lorentzian(detuning, lorentz_fwhm)
-    from scipy.special import voigt_profile  # imported on use; see _fit_peak
+    # imported here, not at module top, so that commands which never evaluate
+    # a Voigt line do not pay scipy's import time
+    from scipy.special import voigt_profile
     sigma = gauss_fwhm * _GAUSS_FWHM_TO_SIGMA
     gamma = 0.5 * lorentz_fwhm
     profile = voigt_profile(detuning, sigma, gamma)
@@ -96,28 +102,25 @@ def excitation_spectrum(scene: SceneSpec, axis, saturation_s: float = 0.0,
     return Spectrum(axis, values)
 
 
-def emission_spectrum(mol: MoleculeSpec, axis=None,
-                      vibronic_lines=DEFAULT_VIBRONIC_LINES,
-                      spectrometer_fwhm: float = 200.0e9,
-                      electrode=None) -> Spectrum:
-    """Emission line list rendered at a finite spectrometer resolution.
+def emission_spectrum(mol: MoleculeSpec, electrode=None) -> Spectrum:
+    """Emission line list rendered at the spectrometer resolution.
 
-    The 0-0 line carries the branching fraction; the configured red-shifted
-    lines share the remainder.  Total integrated weight is 1.
+    The 0-0 line carries the branching fraction; the red-shifted
+    ``DEFAULT_VIBRONIC_LINES`` share the remainder.  Total integrated weight
+    is 1.  The axis spans every line with 6 spectrometer FWHM to spare, in
+    4096 points.
     """
     center = mol.zpl_center if electrode is None else shifted_center(mol, electrode)
-    rel = np.array([w for _, w in vibronic_lines], dtype=np.float64)
-    offsets = np.array([o for o, _ in vibronic_lines], dtype=np.float64)
+    rel = np.array([w for _, w in DEFAULT_VIBRONIC_LINES], dtype=np.float64)
+    offsets = np.array([o for o, _ in DEFAULT_VIBRONIC_LINES], dtype=np.float64)
     lines = [(center, mol.zpl_branching)]
-    if mol.zpl_branching < 1.0 and len(rel):
+    if mol.zpl_branching < 1.0:
         weights = rel / rel.sum() * (1.0 - mol.zpl_branching)
         lines += [(center + o, w) for o, w in zip(offsets, weights)]
-    if axis is None:
-        lo = min(f for f, _ in lines) - 6 * spectrometer_fwhm
-        hi = max(f for f, _ in lines) + 6 * spectrometer_fwhm
-        axis = np.linspace(lo, hi, 4096)
-    axis = np.asarray(axis, dtype=np.float64)
-    sigma = spectrometer_fwhm * _GAUSS_FWHM_TO_SIGMA
+    lo = min(f for f, _ in lines) - 6 * SPECTROMETER_FWHM
+    hi = max(f for f, _ in lines) + 6 * SPECTROMETER_FWHM
+    axis = np.linspace(lo, hi, 4096)
+    sigma = SPECTROMETER_FWHM * _GAUSS_FWHM_TO_SIGMA
     values = np.zeros_like(axis)
     for f, w in lines:
         values += w / (sigma * math.sqrt(2 * math.pi)) * np.exp(
@@ -154,13 +157,13 @@ def _local_linewidth(spec: Spectrum, smoothed: np.ndarray) -> float:
         return math.inf
 
 
-def peak_separation(spec: Spectrum, smooth_steps: int = 3) -> PeakSeparation:
-    """Distance between the two largest local maxima after light smoothing.
+def peak_separation(spec: Spectrum) -> PeakSeparation:
+    """Distance between the two largest local maxima after a 3-point moving mean.
 
     The row counts as resolved only when two maxima exist and are farther
     apart than one fitted linewidth.
     """
-    v = np.convolve(spec.values, np.ones(smooth_steps) / smooth_steps, mode="same")
+    v = np.convolve(spec.values, np.ones(3) / 3, mode="same")
     interior = np.arange(1, len(v) - 1)
     is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
     peaks = interior[is_max]
@@ -173,7 +176,7 @@ def peak_separation(spec: Spectrum, smooth_steps: int = 3) -> PeakSeparation:
 
 
 def stark_scan(scene_a: SceneSpec, scene_b: SceneSpec, voltages, axis=None,
-               saturation_s: float = 0.0, laser_linewidth: float = 0.0
+               laser_linewidth: float = 0.0
                ) -> tuple[list[Spectrum], list[PeakSeparation]]:
     """Overlaid excitation spectra of both microscopes per applied voltage.
 
@@ -184,10 +187,10 @@ def stark_scan(scene_a: SceneSpec, scene_b: SceneSpec, voltages, axis=None,
     if axis is None:
         axis = np.linspace(-400.0e6, 400.0e6, 801)
     rows, separations = [], []
-    spec_a = excitation_spectrum(scene_a, axis, saturation_s, laser_linewidth)
+    spec_a = excitation_spectrum(scene_a, axis, laser_linewidth=laser_linewidth)
     for v in voltages:
         spec_b = excitation_spectrum(scene_b.with_voltage(float(v)), axis,
-                                     saturation_s, laser_linewidth)
+                                     laser_linewidth=laser_linewidth)
         row = Spectrum(np.asarray(axis), spec_a.values + spec_b.values)
         rows.append(row)
         separations.append(peak_separation(row))
@@ -236,6 +239,12 @@ class PeakFit:
 
 
 def _fit_peak(x, y, shape: str) -> PeakFit:
+    """Least-squares offset + peak by ``fisher_scoring`` (Gauss-Newton).
+
+    The parameters are (center, log FWHM, amplitude, offset) in units of the
+    sampled span and the peak height, so the normal equations stay well
+    conditioned whatever the units of the axis.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 5:
@@ -250,28 +259,33 @@ def _fit_peak(x, y, shape: str) -> PeakFit:
     above = x[y > offset0 + 0.5 * amp0]
     fwhm0 = float(above.max() - above.min()) if len(above) > 1 else span / 4
     fwhm0 = max(fwhm0, span / len(x))
+    height = amp0 if amp0 > 0 else 1.0
+    u, y_scaled = (x - center0) / span, y / height
 
-    if shape == "lorentzian":
-        def model(x, c, w, a, o):
-            return o + a * (w / 2) ** 2 / ((w / 2) ** 2 + (x - c) ** 2)
-    else:
-        def model(x, c, w, a, o):
-            s = w * _GAUSS_FWHM_TO_SIGMA
-            return o + a * np.exp(-0.5 * ((x - c) / s) ** 2)
+    def evaluate(theta):
+        """Sum of squared residuals, J^T J and J^T r at the scaled parameters."""
+        c, log_w, a, o = theta
+        w = math.exp(log_w)
+        z = (u - c) / w  # distance from the center in FWHMs
+        if shape == "lorentzian":
+            g = 1.0 / (1.0 + 4.0 * z * z)
+            dg_dz = -8.0 * z * g * g
+        else:
+            g = np.exp(-4.0 * math.log(2.0) * z * z)
+            dg_dz = -8.0 * math.log(2.0) * z * g
+        r = y_scaled - (o + a * g)
+        jac = np.column_stack([-a * dg_dz / w, -a * dg_dz * z, g, np.ones_like(g)])
+        return float(r @ r), jac.T @ jac, jac.T @ r
 
-    # scipy is imported here, not at module top, so that commands which never
-    # fit do not pay its import time
-    from scipy.optimize import curve_fit
-    try:
-        popt, _ = curve_fit(model, x, y, p0=(center0, fwhm0, amp0, offset0),
-                            maxfev=20_000)
-    except RuntimeError as exc:
-        raise FitConvergenceError(f"{shape} fit did not converge: {exc}") from exc
-    center, fwhm, amp, offset = (float(v) for v in popt)
-    fwhm = abs(fwhm)
+    start = [0.0, math.log(fwhm0 / span), amp0 / height, offset0 / height]
+    theta, _, converged = fisher_scoring(evaluate, start, -np.inf, np.inf)
+    c, log_w, a, o = theta.tolist()
+    fwhm = span * math.exp(log_w)
     if fwhm > 10 * span:
         raise InsufficientDataError("samples do not span the fitted peak width")
-    return PeakFit(center, fwhm, amp, offset)
+    if not converged:
+        raise FitConvergenceError(f"{shape} fit did not converge")
+    return PeakFit(center0 + span * c, fwhm, height * a, height * o)
 
 
 def fit_lorentzian(x, y=None) -> PeakFit:
@@ -288,10 +302,9 @@ def fit_gaussian(x, y=None) -> PeakFit:
     return _fit_peak(x, y, "gaussian")
 
 
-def scan_cross_section(image: ScanImage, row: int | None = None):
+def scan_cross_section(image: ScanImage):
     """One image row through the brightest pixel, as (position_um, counts)."""
-    if row is None:
-        row = int(np.unravel_index(np.argmax(image.values), image.values.shape)[0])
+    row = int(np.unravel_index(np.argmax(image.values), image.values.shape)[0])
     x = (np.arange(image.values.shape[1]) + 0.5) * image.pixel_pitch
     return x, image.values[row]
 

@@ -16,7 +16,7 @@ _STARTS = 256
 
 def brute_force_coincidences(tags, bin_width: float, max_lag: float) -> CorrelationHistogram:
     """O(N^2) histogram of t1 - t0 over all pairs with |t1 - t0| <= max_lag."""
-    a, b, w, m = _tick_window(tags, bin_width, max_lag)
+    a, b, w, m, _ = _tick_window(tags, bin_width, max_lag)
     if len(a) > BRUTE_FORCE_LIMIT or len(b) > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} tags per channel")
     n_half = (2 * m + w) // (2 * w)  # the bin of lag +m

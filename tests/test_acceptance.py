@@ -15,7 +15,7 @@ from zplsim import (DetectionSpec, LaserSpec, MoleculeSpec, SceneSpec,
                     apply_detection, confocal_scan, correlate,
                     diffraction_fwhm, excitation_spectrum,
                     fit_antibunching, fit_gaussian, fit_lorentzian,
-                    natural_linewidth, normalize_g2, pulsed_peak_ratio,
+                    natural_linewidth, pulsed_peak_ratio,
                     pump_for_excited_population, pump_rate, rate_budget,
                     scan_cross_section, shifted_center, simulate_hom,
                     simulate_stream, split_two_source, stark_calibrate,
@@ -37,12 +37,12 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{label}{suffix}"
 
 
-def hbt_g2(scene, laser, duration, seed, bin_width=250e-12, max_lag=100e-9):
+def hbt_histogram(scene, laser, duration, seed, bin_width=250e-12, max_lag=100e-9):
     photons = simulate_stream(scene, laser, duration, seed)
     tags = apply_detection(photons, CLEAN_DETECTION, split="hbt", seed=seed)
     hist = correlate(tags, bin_width, max_lag)
     n_detected = sum(len(c) for c in tags.channels.values())
-    return normalize_g2(hist), n_detected
+    return hist, n_detected
 
 
 def test_criterion_01_fourier_limit():
@@ -55,8 +55,8 @@ def test_criterion_01_fourier_limit():
 def test_criterion_02_cw_antibunching_clean():
     scene = SceneSpec(molecules=(MoleculeSpec(id=1, zpl_branching=1.0),))
     laser = LaserSpec(mode="cw", frequency=40e12, cw_peak_pump_rate=PUMP_81)
-    g2, n_detected = hbt_g2(scene, laser, duration=0.08, seed=101)
-    fit = fit_antibunching(g2)
+    hist, n_detected = hbt_histogram(scene, laser, duration=0.08, seed=101)
+    fit = fit_antibunching(hist)
     ok = (n_detected >= 1_000_000 and fit.g2_zero < 0.05
           and abs(fit.decay_time_s - 8.1e-9) <= 0.05 * 8.1e-9)
     report(2, "cw antibunching: g2(0) < 0.05, decay 8.1 ns +/- 5%", ok,
@@ -78,8 +78,8 @@ def test_criterion_03_residual_g2_mixture():
         MoleculeSpec(id=2, zpl_center=detuning, zpl_branching=1.0),
     ))
     laser = LaserSpec(mode="cw", frequency=40e12, cw_peak_pump_rate=PUMP_81)
-    g2, _ = hbt_g2(scene, laser, duration=0.1, seed=103)
-    fit = fit_antibunching(g2)
+    hist, _ = hbt_histogram(scene, laser, duration=0.1, seed=103)
+    fit = fit_antibunching(hist)
     ok = abs(fit.g2_zero - 0.34) <= 0.03
     report(3, "two-emitter residual g2(0) = 0.34 +/- 0.03", ok,
            f"g2(0)={fit.g2_zero:.4f}")

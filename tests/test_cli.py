@@ -135,6 +135,24 @@ class TestCorrelate:
         assert run(["correlate", "--tags", csv, *flags, "--out", tmp_path / "out"]) == 2
         assert "1 ps" in capsys.readouterr().err
 
+    def test_too_many_bins_exits_2(self, tmp_path, capsys):
+        # 1 ns bins over 3e6 s are whole 1 ps ticks, but 6e15 bins
+        from zplsim.correlator import MAX_BINS
+        csv = tmp_path / "tags.csv"
+        csv.write_text("channel,time_ps\n0,100\n1,200\n")
+        assert run(["correlate", "--tags", csv, "--bin-width", "1 ns", "--max-lag", "3e6",
+                    "--out", tmp_path / "out"]) == 2
+        assert f"more than {MAX_BINS}" in capsys.readouterr().err
+
+    def test_seed_rejected(self, tmp_path, capsys):
+        # correlate draws no random numbers, so it takes no seed
+        csv = tmp_path / "tags.csv"
+        csv.write_text("channel,time_ps\n0,100\n1,200\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["correlate", "--tags", csv, "--seed", 1, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["correlate"], ["pulsed-g2", "--period", "100 ns"]])
     def test_channels_without_0_rejected(self, tmp_path, capsys, command):
         csv = tmp_path / "tags.csv"
@@ -160,6 +178,8 @@ class TestHom:
         lines = (out / "hom_sweep.csv").read_text().splitlines()
         assert lines[0] == "voltage,p_estimate,p_error"
         assert len(lines) == 4  # 0, 21, 42
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sweep"] == "0:42:21" and "voltage" not in manifest
 
     def test_bad_sweep_exits_1(self, tmp_path, fig5a):
         assert run(["hom", "--config", fig5a, "--sweep", "0:42",
@@ -255,15 +275,17 @@ class TestMalformedTagFile:
         assert "malformed tag file" in err and str(tags) in err
 
 
-# Each command below must finish without importing scipy; the script reports
-# the first command after which scipy is loaded.
-_NO_SCIPY_SCRIPT = """
+# Runs the commands in argv[1] and reports the first one after which the
+# module argv[2] (or one of its submodules) is loaded.
+_NO_IMPORT_SCRIPT = """
 import json
 import sys
 from zplsim.cli import main
 
-def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+module = sys.argv[2]
+
+def loaded():
+    return any(m == module or m.startswith(module + ".") for m in sys.modules)
 
 for argv in json.loads(sys.argv[1]):
     try:
@@ -272,8 +294,8 @@ for argv in json.loads(sys.argv[1]):
         code = exc.code
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
-    if scipy_loaded():
-        sys.exit(f"{argv[0]} loaded scipy")
+    if loaded():
+        sys.exit(f"{argv[0]} loaded {module}")
 """
 
 
@@ -288,13 +310,29 @@ def test_commands_without_fits_do_not_import_scipy(tmp_path, config_dir):
          "--out", str(tmp_path / "pulsed")],
         ["hom", "--config", fig5a, "--pulses", "1000", "--out", str(tmp_path / "hom")],
         ["budget", "--config", fig4a, "--out", str(tmp_path / "budget")],
+        ["scan", "--config", str(config_dir / "fig3b.ini"), "--out", str(tmp_path / "scan")],
     ]
+    run_without(commands, "scipy")
+
+
+def run_without(commands, module):
+    """Run the CLI commands in one fresh interpreter, failing once ``module`` is loaded."""
     src = str(Path(zplsim.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _NO_IMPORT_SCRIPT, json.dumps(commands),
+                           module], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stark_and_spectrum_do_not_import_scipy_optimize(tmp_path, config_dir):
+    # they may load scipy.special for the Voigt line, but fit without scipy
+    fig4a, fig5a = (str(config_dir / f"{n}.ini") for n in ("fig4a", "fig5a"))
+    commands = [
+        ["stark", "--config", fig5a, "--sweep", "0:42:21", "--out", str(tmp_path / "stark")],
+        ["spectrum", "--config", fig4a, "--out", str(tmp_path / "spectrum")],
+    ]
+    run_without(commands, "scipy.optimize")
 
 
 class TestParser:

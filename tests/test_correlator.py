@@ -103,6 +103,11 @@ class TestCorrelate:
         with pytest.raises(ValueError, match="1 ps"):
             correlate(tags([0], [1]), bw, lag)
 
+    def test_too_many_bins_rejected(self):
+        # 1 ns bins over 3e6 s: whole ticks within int64, but 6e15 bins
+        with pytest.raises(ValueError, match=f"more than {correlator.MAX_BINS}"):
+            correlate(tags([0], [1]), 1e-9, 3e6)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_brute_force_agreement_property(self, seed):
@@ -181,19 +186,15 @@ class TestNormalize:
         a = poisson_ticks(rng, 2e5, duration)
         b = poisson_ticks(rng, 2e5, duration)
         g2 = normalize_g2(correlate(tags(a, b, round(duration / PS)), 10e-9, 500e-9))
-        assert float(np.mean(g2.bins)) == pytest.approx(1.0, abs=0.02)
-
-    def test_double_normalize_rejected(self):
-        h = correlate(tags([0, 10], [5], 20), PS, 10 * PS)
-        with pytest.raises(ValueError):
-            normalize_g2(normalize_g2(h))
+        assert float(np.mean(g2)) == pytest.approx(1.0, abs=0.02)
 
 
 def synth_histogram(g0, tau_d, bw=250e-12, max_lag=100e-9, plateau=1.0):
+    """Counts g2 * bw: rates and duration of 1, so the histogram's scale is bw."""
     n_half = int(np.floor(max_lag / bw + 0.5))
     lags = (np.arange(2 * n_half + 1) - n_half) * bw
     y = plateau - (plateau - g0) * np.exp(-np.abs(lags) / tau_d)
-    return CorrelationHistogram(bw, max_lag, y, 1.0, 1.0, 1.0, normalized=True)
+    return CorrelationHistogram(bw, max_lag, y * bw, 1.0, 1.0, 1.0)
 
 
 class TestFitAntibunching:
@@ -207,7 +208,7 @@ class TestFitAntibunching:
     def test_noisy_recovery(self):
         rng = np.random.default_rng(21)
         h = synth_histogram(0.34, 8.1e-9)
-        h.bins = h.bins + rng.normal(0, 0.01, len(h.bins))
+        h.bins = h.bins + rng.normal(0, 0.01, len(h.bins)) * h.scale
         fit = fit_antibunching(h)
         assert fit.g2_zero == pytest.approx(0.34, abs=0.02)
         assert fit.decay_time_s == pytest.approx(8.1e-9, rel=0.05)
@@ -221,28 +222,23 @@ class TestFitAntibunching:
 
     def test_no_pairs_gives_infinite_errors(self):
         # zero counts carry no information: a singular Fisher matrix, no exception
-        fit = fit_antibunching(normalize_g2(correlate(tags([], []), 1e-9, 10e-9)))
+        fit = fit_antibunching(correlate(tags([], []), 1e-9, 10e-9))
         assert fit.underdetermined and fit.pairs == 0
         assert fit.g2_zero_error == np.inf and fit.decay_time_error_s == np.inf
         assert np.isfinite(fit.g2_zero) and np.isfinite(fit.decay_time_s)
 
     def test_poisson_counts_within_fisher_errors(self):
         # 2000 expected counts per far-lag bin: the decay time is determined
-        h = synth_histogram(0.2, 8.1e-9)  # rates 1 Hz, so scale = duration * bin_width
-        scale = 2000.0
-        h.duration = scale / h.bin_width
-        h.bins = np.random.default_rng(4).poisson(h.bins * scale) / scale
+        h = synth_histogram(0.2, 8.1e-9)
+        g2 = normalize_g2(h)
+        h.duration = 2000.0 / h.bin_width  # rates 1 Hz, so scale = duration * bin_width
+        h.bins = np.random.default_rng(4).poisson(g2 * h.scale)
         fit = fit_antibunching(h)
         assert not fit.underdetermined
-        assert fit.pairs == int(round(h.bins.sum() * scale))
+        assert fit.pairs == h.bins.sum()
         assert abs(fit.g2_zero - 0.2) <= 5 * fit.g2_zero_error
         assert abs(fit.decay_time_s - 8.1e-9) <= 5 * fit.decay_time_error_s
         assert fit.deviance_per_dof == pytest.approx(1.0, abs=0.25)
-
-    def test_requires_normalized(self):
-        raw = correlate(tags([0, 10], [5]), PS, 10 * PS)
-        with pytest.raises(ValueError, match="normalized"):
-            fit_antibunching(raw)
 
     def test_matches_rate_equation_curve(self):
         pump = 1 / 8.1e-9 - 1 / 9.4e-9
@@ -250,8 +246,8 @@ class TestFitAntibunching:
         bw, max_lag = 250e-12, 100e-9
         n_half = int(np.floor(max_lag / bw + 0.5))
         lags = (np.arange(2 * n_half + 1) - n_half) * bw
-        h = CorrelationHistogram(bw, max_lag, analytic_g2(pump, gamma, lags),
-                                 1.0, 1.0, 1.0, normalized=True)
+        h = CorrelationHistogram(bw, max_lag, analytic_g2(pump, gamma, lags) * bw,
+                                 1.0, 1.0, 1.0)
         fit = fit_antibunching(h)
         assert fit.decay_time_s == pytest.approx(8.1e-9, rel=1e-6)
         assert fit.g2_zero == pytest.approx(0.0, abs=1e-6)
@@ -277,12 +273,6 @@ class TestPulsedPeakRatio:
     def test_clean_source_zero(self):
         h = self.make_pulsed(central_area=0.0, side_area=1000.0)
         assert pulsed_peak_ratio(h, 263.16e-9, 100e-9) == 0.0
-
-    def test_rejects_normalized(self):
-        h = self.make_pulsed(1.0, 1.0)
-        h.normalized = True
-        with pytest.raises(ValueError):
-            pulsed_peak_ratio(h, 263.16e-9, 100e-9)
 
     def test_rejects_short_range(self):
         h = self.make_pulsed(1.0, 1.0)

@@ -8,6 +8,7 @@ from zplsim import (InsufficientDataError, MoleculeSpec,
                     emission_spectrum, excitation_spectrum, fit_gaussian,
                     fit_lorentzian, natural_linewidth, peak_separation,
                     pgm_text, scan_cross_section, stark_scan)
+from zplsim.errors import FitConvergenceError
 
 LINEWIDTH = natural_linewidth(9.4e-9)  # 16.93 MHz
 
@@ -183,6 +184,13 @@ class TestPeakFits:
         y = np.ones(8)
         with pytest.raises(InsufficientDataError):
             fit_lorentzian(x, y)
+
+    @pytest.mark.parametrize("fit", [fit_lorentzian, fit_gaussian])
+    def test_flat_data_does_not_converge(self, fit):
+        # no peak: the width and center do not move the model, so the
+        # normal equations are singular
+        with pytest.raises(FitConvergenceError):
+            fit(np.linspace(-5, 5, 50), np.ones(50))
 
     def test_accepts_spectrum_object(self):
         x = np.linspace(-5, 5, 101)
